@@ -52,13 +52,11 @@ bench-baseline:
 	@echo "wrote BENCH_BASELINE.json"
 
 # fuzz-smoke mirrors the CI fuzz lane: short coverage-led mutation
-# over the rpcnet wire decoders and the snap codec.
+# over the rpcnet wire decoders.
 fuzz-smoke:
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzReadHello -fuzztime 5s
 	$(GO) test ./internal/rpcnet -run='^$$' -fuzz FuzzServeConn -fuzztime 10s
-	$(GO) test ./internal/spill -run='^$$' -fuzz FuzzSnapRoundTrip -fuzztime 10s
-	$(GO) test ./internal/spill -run='^$$' -fuzz FuzzSnapDecode -fuzztime 10s
 
 # mem-smoke mirrors the CI bounded-memory lane: above-watermark
 # synthetic datasets streamed through the live and net backends under

@@ -46,7 +46,7 @@ func main() {
 	output := flag.String("output", "", "stream the job's output to this file through Job.Sink (sort and enc)")
 	spillMem := flag.Int64("spill-mem", 0, "data-plane spill watermark in bytes: 0 keeps everything in memory, -1 spills every payload (live and net)")
 	spillCompress := flag.Bool("spill-compress", false, "frame-compress spilled payloads")
-	codec := flag.String("codec", "", "data-plane compression codec (snap or flate): negotiated on the wire for net backends and remote submission, and used for -spill-compress frames")
+	codec := flag.String("codec", "", "data-plane compression codec (flate): negotiated on the wire for net backends and remote submission, and used for -spill-compress frames")
 	serveMode := flag.Bool("serve", false, "run a long-lived multi-tenant job service instead of one job; print its addresses and block until interrupted")
 	quotas := flag.String("quotas", "", "per-tenant quotas for -serve: tenant=weight[:maxJobs[:maxTrackers[:spillBytes[:maxQueued]]]],...")
 	slots := flag.Int("slots", 2, "task slots per worker (-serve)")

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,6 +86,65 @@ func TestClientNetKillAndQuota(t *testing.T) {
 	// The kill freed the tenant's job slot.
 	if _, err := c.Submit(&Job{Kind: Pi, Samples: 1000, Tenant: "capped"}); err != nil {
 		t.Fatalf("submit after kill: %v", err)
+	}
+}
+
+// TestClientNetDropsStagedInput: a data job's DFS staging file is gone
+// once the job is terminal — done, killed or rejected at admission —
+// and the DataNodes drop its blocks.
+func TestClientNetDropsStagedInput(t *testing.T) {
+	// Slow every task so the victim is reliably mid-flight when killed.
+	delays := []time.Duration{20 * time.Millisecond, 20 * time.Millisecond}
+	c, err := Open("net", Config{
+		Workers:     2,
+		BlockSize:   8_000,
+		FaultDelays: delays,
+		Quotas:      map[string]Quota{"capped": {MaxJobs: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	clus := c.Runner().(*netRunner).clus
+	// The conformance jobs collect their results whole; the streamed
+	// encrypt drains its output after the job ends.
+	streamed := &Job{Kind: Encrypt, Input: corpus(), Key: []byte("conformance-key!"),
+		IV: []byte("conformance-iv!!"), Sink: io.Discard}
+	for _, job := range append(conformanceJobs(), streamed) {
+		if _, err := c.Run(job); err != nil {
+			t.Fatalf("%s: %v", job.Kind, err)
+		}
+	}
+	victim, err := c.Submit(&Job{Kind: Wordcount, Input: corpus(), Tenant: "capped"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(&Job{Kind: Wordcount, Input: corpus(), Tenant: "capped"}); !errors.Is(err, netmr.ErrQuotaExceeded) {
+		t.Fatalf("submit at MaxJobs=1: error %v, want netmr.ErrQuotaExceeded", err)
+	}
+	if err := victim.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := victim.Wait(); err == nil {
+		t.Fatal("killed job's Wait returned success, want killed error")
+	}
+	files, err := clus.Client.ListFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.HasPrefix(f, "/engine/") {
+			t.Errorf("staged input %s outlived its job", f)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for _, dn := range clus.DNs {
+		for dn.BlockCount() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("datanode %s still holds %d blocks", dn.Addr(), dn.BlockCount())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 

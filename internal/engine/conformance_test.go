@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hetmr/internal/kernels"
+	"hetmr/internal/spill"
 )
 
 // The conformance suite is the engine's contract: the same job, run on
@@ -114,7 +115,7 @@ func TestCrossBackendConformanceWithCodec(t *testing.T) {
 				if !ok {
 					continue
 				}
-				for _, codec := range []string{"snap", "flate"} {
+				for _, codec := range spill.CodecNames() {
 					cfg := conformanceConfig()
 					cfg.Codec = codec
 					compressed, ok := runOnConfig(t, backend, cfg, job)

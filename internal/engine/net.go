@@ -159,13 +159,14 @@ func (r *netRunner) waitAndStatus(id int64) (raw []byte, st netmr.StatusReply, e
 
 // stageInput streams src (the job's dataset, possibly wrapped in a
 // sampling pass) into the distributed FS under the client's ingest
-// window.
+// window. A failed stage deletes whatever blocks it already wrote.
 func (r *netRunner) stageInput(job *Job, src io.Reader) (string, error) {
 	r.mu.Lock()
 	r.seq++
 	name := fmt.Sprintf("/engine/%s-%d", job.title(), r.seq)
 	r.mu.Unlock()
 	if _, err := r.clus.Client.WriteFrom(name, src, ""); err != nil {
+		_ = r.clus.Client.Delete(name) // best effort: the write error is the one to report
 		return "", err
 	}
 	return name, nil
@@ -258,10 +259,12 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 // netJob is one job submitted to the running cluster and not yet
 // collected.
 type netJob struct {
-	r       *netRunner
-	job     *Job
-	id      int64
-	started time.Time
+	r        *netRunner
+	job      *Job
+	id       int64
+	input    string // staged DFS input ("" for pi, and once deleted)
+	streamed bool   // output drains from the trackers after the job ends
+	started  time.Time
 	// Fetch-locality counter snapshot at submission; wait() reports
 	// the delta as the job's read-locality split.
 	local0, rack0, remote0 int64
@@ -280,14 +283,55 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 	l0, rk0, rm0 := r.clus.FetchTotals()
 	id, err := r.clus.Client.Submit(spec)
 	if err != nil {
+		if spec.Input != "" {
+			_ = r.clus.Client.Delete(spec.Input) // best effort: the submit error is the one to report
+		}
 		return nil, err
 	}
-	return &netJob{r: r, job: job, id: id, started: time.Now(),
-		local0: l0, rack0: rk0, remote0: rm0}, nil
+	return &netJob{r: r, job: job, id: id, input: spec.Input, streamed: spec.StreamOutput,
+		started: time.Now(), local0: l0, rack0: rk0, remote0: rm0}, nil
 }
 
-// wait blocks until the job completes and decodes its result by kind.
+// wait collects the job and deletes its staged input once the job is
+// terminal — done, failed or killed — so its blocks do not outlive it.
+// A streamed job is terminal before its output drains, so its input
+// goes first and the DataNodes free the blocks during the drain. A job
+// still running when the wait gives up (it timed out) keeps its input.
 func (nj *netJob) wait() (*Result, error) {
+	if nj.streamed {
+		if _, err := nj.r.clus.Client.Wait(nj.id, nj.r.cfg.JobTimeout); err != nil {
+			nj.dropInput(err)
+			return nil, err
+		}
+		nj.dropInput(nil)
+	}
+	res, err := nj.collect()
+	nj.dropInput(err)
+	return res, err
+}
+
+// dropInput deletes the job's staged input, once: straight away after
+// a clean wait, and after a failed one only if the JobTracker reports
+// the job terminal.
+func (nj *netJob) dropInput(err error) {
+	if nj.input == "" {
+		return
+	}
+	c := nj.r.clus.Client
+	if err != nil {
+		st, serr := c.Status(nj.id)
+		if serr != nil || (!st.Done && st.Err == "") {
+			return
+		}
+	}
+	// Best effort: a failed delete leaks the blocks, never a result.
+	_ = c.Delete(nj.input)
+	nj.input = ""
+}
+
+// collect blocks until the job completes and decodes its result by
+// kind.
+func (nj *netJob) collect() (*Result, error) {
 	r, job := nj.r, nj.job
 	res := &Result{Backend: r.Backend()}
 	switch job.Kind {

@@ -111,12 +111,12 @@ type Config struct {
 	// fastest otherwise.
 	SpillCompress bool
 	// Codec names the data-plane compression codec (spill.CodecByName:
-	// "snap" for the LZ4-style block codec, "flate" for DEFLATE; ""
-	// for none, the default). On the net backend a non-empty Codec is
-	// also negotiated as the rpcnet wire codec, so DFS block transfers
-	// and shuffle FetchPartition payloads are compressed per frame on
-	// the wire; results stay bit-identical with it on or off. With
-	// SpillCompress set it selects the spill frame codec too.
+	// "flate" for DEFLATE; "" for none, the default). On the net
+	// backend a non-empty Codec is also negotiated as the rpcnet wire
+	// codec, so DFS block transfers and shuffle FetchPartition payloads
+	// are compressed per frame on the wire; results stay bit-identical
+	// with it on or off. With SpillCompress set it selects the spill
+	// frame codec too.
 	Codec string
 	// Timeline requests a rendered task Gantt chart in Result.Sim
 	// (simulated backend).

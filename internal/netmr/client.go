@@ -282,6 +282,17 @@ func (c *Client) ListFiles() ([]string, error) {
 	return list.Files, nil
 }
 
+// Delete removes name from the namespace. Its blocks leave the
+// DataNodes asynchronously: each holder drops its replicas when its
+// next heartbeat returns.
+func (c *Client) Delete(name string) error {
+	nnc, err := c.wire.get(c.nnAddr)
+	if err != nil {
+		return err
+	}
+	return nnc.Call("Delete", DeleteArgs{File: name}, nil)
+}
+
 // Submit sends a job and returns its ID. An admission-control
 // rejection satisfies errors.Is(err, ErrQuotaExceeded).
 func (c *Client) Submit(spec JobSpec) (int64, error) {
@@ -694,7 +705,7 @@ func WithSpill(dir string, memBytes int64, codec spill.Codec) ClusterOption {
 // WithWireCodec makes every data-plane connection in the cluster —
 // the client's DFS and output fetches, the trackers' block reads and
 // shuffle FetchPartition pulls — propose the named rpcnet wire codec
-// ("snap" or "flate"; "" disables, the default), so payloads are
+// ("flate"; "" disables, the default), so payloads are
 // compressed on the wire per frame. Purely a transport knob: stored
 // bytes and results are bit-identical with it on or off.
 func WithWireCodec(name string) ClusterOption {

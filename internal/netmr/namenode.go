@@ -33,7 +33,8 @@ const (
 type dnState struct {
 	addr     string
 	rack     string
-	load     int // block replicas placed here
+	load     int     // block replicas placed here
+	invalid  []int64 // blocks to drop, handed over on the next beat
 	lastSeen time.Time
 	draining bool
 	dead     bool
@@ -247,7 +248,9 @@ func (nn *NameNode) handleRegister(body []byte) (any, error) {
 	d.rack = rack
 	d.lastSeen = time.Now()
 	d.dead = false
-	return RegisterReply{Draining: d.draining}, nil
+	reply := RegisterReply{Draining: d.draining, Invalidate: d.invalid}
+	d.invalid = nil
+	return reply, nil
 }
 
 // placeableNodes lists nodes new replicas may land on, in registration
@@ -472,7 +475,8 @@ func (nn *NameNode) planRepairsLocked() []repairOp {
 // replicate executes one planned transfer — dial the source, have it
 // push the block — and commits the new replica to the block's metadata
 // on success. Runs without nn.mu held; the commit step re-validates
-// against concurrent deletes.
+// against concurrent deletes, and a copy pushed for a block deleted
+// meanwhile is invalidated on dst.
 func (nn *NameNode) replicate(op repairOp) bool {
 	src, err := rpcnet.Dial(op.src)
 	if err != nil {
@@ -506,7 +510,17 @@ func (nn *NameNode) replicate(op repairOp) bool {
 		}
 		return true
 	}
+	nn.invalidateLocked(op.dst, op.id)
 	return false
+}
+
+// invalidateLocked queues block id for deletion on the DataNode at
+// addr; the node drops it when its next heartbeat returns. Callers hold
+// nn.mu.
+func (nn *NameNode) invalidateLocked(addr string, id int64) {
+	if d := nn.nodes[addr]; d != nil {
+		d.invalid = append(d.invalid, id)
+	}
 }
 
 // handleDecommissionDN gracefully retires a DataNode: it is marked
@@ -600,6 +614,8 @@ func (nn *NameNode) handleList(body []byte) (any, error) {
 	return ListReply{Files: names}, nil
 }
 
+// handleDelete removes a file from the namespace and queues each of
+// its block replicas for invalidation on the DataNode holding it.
 func (nn *NameNode) handleDelete(body []byte) (any, error) {
 	var args DeleteArgs
 	if err := rpcnet.Unmarshal(body, &args); err != nil {
@@ -615,6 +631,7 @@ func (nn *NameNode) handleDelete(body []byte) (any, error) {
 			if d := nn.nodes[addr]; d != nil {
 				d.load--
 			}
+			nn.invalidateLocked(addr, blk.ID)
 		}
 	}
 	delete(nn.files, args.File)

@@ -1,6 +1,7 @@
 package netmr
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -21,26 +22,83 @@ func TestDFSDeleteAndList(t *testing.T) {
 	if len(files) != 3 || files[0] != "/a" || files[2] != "/c" {
 		t.Errorf("List = %v, want sorted [/a /b /c]", files)
 	}
-	// Delete through the raw RPC (the client has no sugar for it).
-	nnc, err := rpcnet.Dial(c.NN.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nnc.Close()
-	if err := nnc.Call("Delete", DeleteArgs{File: "/b"}, nil); err != nil {
+	if err := c.Client.Delete("/b"); err != nil {
 		t.Fatal(err)
 	}
 	files, _ = c.Client.ListFiles()
 	if len(files) != 2 {
 		t.Errorf("after delete: %v", files)
 	}
-	if err := nnc.Call("Delete", DeleteArgs{File: "/b"}, nil); err == nil {
+	if err := c.Client.Delete("/b"); err == nil {
 		t.Error("double delete should fail")
 	}
 	// Deleted file is gone from lookups.
 	if _, err := c.Client.ReadFile("/b"); err == nil {
 		t.Error("read of deleted file should fail")
 	}
+	// Deleting the rest frees every replica: each DataNode drops its
+	// blocks when its next heartbeat returns the invalidations.
+	if c.DNs[0].BlockCount()+c.DNs[1].BlockCount() == 0 {
+		t.Fatal("no blocks stored before the deletes")
+	}
+	for _, f := range []string{"/a", "/c"} {
+		if err := c.Client.Delete(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*c.heartbeat, func() bool {
+		for _, dn := range c.DNs {
+			if dn.BlockCount() != 0 {
+				return false
+			}
+		}
+		return true
+	}, "datanodes still hold blocks of deleted files")
+	nodes, err := c.Client.ListDataNodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if n.Blocks != 0 {
+			t.Errorf("datanode %s still counted with %d blocks", n.Addr, n.Blocks)
+		}
+	}
+}
+
+// TestRepairOfDeletedBlockInvalidatesCopy: a re-replication whose
+// block was deleted while the copy was in flight must not strand the
+// copy on its target.
+func TestRepairOfDeletedBlockInvalidatesCopy(t *testing.T) {
+	c := startTestCluster(t, 3, 512)
+	if err := c.Client.WriteFile("/x", make([]byte, 500), ""); err != nil {
+		t.Fatal(err)
+	}
+	nnc, err := rpcnet.Dial(c.NN.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nnc.Close()
+	var lookup LookupReply
+	if err := nnc.Call("Lookup", LookupArgs{File: "/x"}, &lookup); err != nil {
+		t.Fatal(err)
+	}
+	blk := lookup.Blocks[0]
+	var dst *DataNode
+	for _, dn := range c.DNs {
+		if !slices.Contains(blk.ReplicaAddrs(), dn.Addr()) {
+			dst = dn
+		}
+	}
+	if dst == nil {
+		t.Fatalf("block %d on every datanode", blk.ID)
+	}
+	// The op names a file the namespace no longer holds, as when the
+	// delete lands between the planned copy and its commit.
+	if c.NN.replicate(repairOp{file: "/deleted", id: blk.ID, src: blk.Addr, dst: dst.Addr()}) {
+		t.Fatal("repair of a deleted file's block committed")
+	}
+	waitFor(t, 10*c.heartbeat, func() bool { return dst.BlockCount() == 0 },
+		"pushed copy of a deleted block survived on its target")
 }
 
 func TestComputeJobDefaultTaskCount(t *testing.T) {

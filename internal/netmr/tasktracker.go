@@ -124,8 +124,9 @@ func WithAccelerator(dev *AccelDevice) TrackerOption {
 // WithShuffleSpill bounds the tracker's shuffle-store memory: stored
 // partitions and streamed outputs above memBytes spill to files under
 // dir ("" selects the OS temp dir), optionally compressed frame by
-// frame by codec. FetchPartition serves spilled payloads
-// transparently. A negative memBytes keeps everything in memory (the
+// frame by codec. FetchPartition serves spilled payloads straight
+// from their frames, a chunk at a time, without re-admitting them to
+// memory. A negative memBytes keeps everything in memory (the
 // historical behaviour, and the default).
 func WithShuffleSpill(dir string, memBytes int64, codec spill.Codec) TrackerOption {
 	return func(tt *TaskTracker) {

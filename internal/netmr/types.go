@@ -95,9 +95,12 @@ type RegisterArgs struct {
 
 // RegisterReply acknowledges registration. Draining tells the node the
 // NameNode is decommissioning it: it keeps serving reads but should
-// expect removal once its blocks are re-replicated.
+// expect removal once its blocks are re-replicated. Invalidate lists
+// block IDs the node should drop — replicas of deleted files, queued
+// since its last beat (HDFS-style invalidation on the heartbeat).
 type RegisterReply struct {
-	Draining bool
+	Draining   bool
+	Invalidate []int64
 }
 
 // ReplicateArgs asks a DataNode to push one of its stored blocks to a

@@ -13,7 +13,7 @@ import (
 // and read through a WithWireCodec cluster must move fewer bytes on
 // the wire than its raw payload size, and round-trip bit-identically.
 func TestWireCodecCompressesDataPlane(t *testing.T) {
-	cluster, err := StartCluster(2, 2, 8_000, 20*time.Millisecond, WithWireCodec("snap"))
+	cluster, err := StartCluster(2, 2, 8_000, 20*time.Millisecond, WithWireCodec("flate"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestWireCodecCompressesDataPlane(t *testing.T) {
 	// repetitive; anything close to raw means compression never
 	// engaged.
 	if wire >= raw {
-		t.Fatalf("wire bytes %d not below raw %d with snap negotiated", wire, raw)
+		t.Fatalf("wire bytes %d not below raw %d with flate negotiated", wire, raw)
 	}
 	if wire > raw/2 {
 		t.Fatalf("wire bytes %d saved too little of raw %d for a repetitive payload", wire, raw)

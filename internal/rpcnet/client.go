@@ -29,7 +29,7 @@ type dialOptions struct {
 }
 
 // WithCodec proposes a payload codec (a spill.CodecByName name, e.g.
-// "snap") in the connection hello. If the server accepts it, bodies
+// "flate") in the connection hello. If the server accepts it, bodies
 // above a small threshold are compressed on the wire in both
 // directions. Dial fails on names CodecByName does not know.
 func WithCodec(name string) Option {

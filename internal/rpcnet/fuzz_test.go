@@ -55,7 +55,7 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzReadHello feeds arbitrary bytes to the hello decoder.
 func FuzzReadHello(f *testing.F) {
-	f.Add([]byte("hmr2\x04snap"))
+	f.Add([]byte("hmr2\x05flate"))
 	f.Add([]byte("hmr2\x00"))
 	f.Add([]byte("junk\x04snap"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -72,7 +72,7 @@ func FuzzReadHello(f *testing.F) {
 // truncated gob bodies — must never crash the server.
 func FuzzServeConn(f *testing.F) {
 	f.Add([]byte("hmr2\x00"))
-	f.Add(append([]byte("hmr2\x04snap"), 0, 0, 0, 30))
+	f.Add(append([]byte("hmr2\x05flate"), 0, 0, 0, 30))
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		f.Fatal(err)

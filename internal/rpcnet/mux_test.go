@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hetmr/internal/spill"
 )
 
 // echoTagged is a handler that returns its []byte argument unchanged.
@@ -189,10 +191,11 @@ func TestRedialAfterConnDeath(t *testing.T) {
 	t.Fatalf("client did not recover after conn death: %v", lastErr)
 }
 
-// TestCompressedRoundTrip exercises the negotiated-codec path both
-// directions with compressible and incompressible payloads.
+// TestCompressedRoundTrip exercises the negotiated-codec path for
+// every built-in codec, both directions, with compressible and
+// incompressible payloads.
 func TestCompressedRoundTrip(t *testing.T) {
-	for _, codec := range []string{"snap", "flate"} {
+	for _, codec := range spill.CodecNames() {
 		t.Run(codec, func(t *testing.T) {
 			s, err := NewServer("127.0.0.1:0")
 			if err != nil {

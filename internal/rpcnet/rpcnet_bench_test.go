@@ -1,7 +1,6 @@
 package rpcnet
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -88,20 +87,4 @@ func BenchmarkCallBlock64KConcurrent(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCallBlock64KSnap measures the block path with the snap
-// codec negotiated and a compressible payload — what shuffle fetches
-// of text-like intermediate data see.
-func BenchmarkCallBlock64KSnap(b *testing.B) {
-	_, c := benchServer(b, WithCodec("snap"))
-	blob := bytes.Repeat([]byte("hetmr shuffle partition payload "), (64<<10)/32)
-	b.SetBytes(int64(len(blob)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out []byte
-		if err := c.Call("echo", blob, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

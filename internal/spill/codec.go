@@ -5,10 +5,9 @@ import (
 	"io"
 )
 
-// Codec is a streaming frame compressor for spilled payloads — the
-// seam where a snappy-style block codec would plug in. Implementations
-// must round-trip exactly: NewReader(NewWriter(frame)) yields the
-// original bytes.
+// Codec is a streaming frame compressor for spilled payloads and
+// negotiated wire connections. Implementations must round-trip
+// exactly: NewReader(NewWriter(frame)) yields the original bytes.
 type Codec interface {
 	// Name labels the codec in diagnostics.
 	Name() string
@@ -19,27 +18,22 @@ type Codec interface {
 	NewReader(r io.Reader) (io.ReadCloser, error)
 }
 
-// CodecByName resolves a built-in codec by its Name: "flate"
-// (DEFLATE, better ratio, more CPU) or "snap" (the LZ4-style block
-// codec, fastest). It is the negotiation table the rpcnet wire layer
-// and the engine's Config.Codec knob share, so a codec name means the
-// same codec on every layer. Unknown names report false.
+// CodecByName resolves a built-in codec by its Name: "flate" (DEFLATE)
+// is the one built-in. It is the negotiation table the rpcnet wire
+// layer and the engine's Config.Codec knob share, so a codec name
+// means the same codec on every layer. Unknown names report false.
 func CodecByName(name string) (Codec, bool) {
-	switch name {
-	case "flate":
+	if name == "flate" {
 		return Flate(), true
-	case "snap":
-		return Snap(), true
 	}
 	return nil, false
 }
 
 // CodecNames lists the built-in codec names CodecByName resolves.
-func CodecNames() []string { return []string{"flate", "snap"} }
+func CodecNames() []string { return []string{"flate"} }
 
-// Flate returns the built-in codec: DEFLATE at the fastest setting,
-// the stdlib stand-in for a snappy-style frame codec (fast, modest
-// ratio, streaming).
+// Flate returns the built-in codec: DEFLATE at the fastest setting
+// (fast, modest ratio, streaming).
 func Flate() Codec { return flateCodec{} }
 
 type flateCodec struct{}

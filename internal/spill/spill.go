@@ -7,6 +7,11 @@
 // sorted-run stores (internal/core), so every layer shares the same
 // watermark semantics and the same SpillBytes meter
 // (internal/metrics).
+//
+// Every payload lives in exactly one place: in memory, or in its spill
+// frame on disk. A spilled payload is never promoted back; reads are
+// sized from the stored entry, and a range read of an uncompressed
+// frame touches only the bytes it returns.
 package spill
 
 import (
@@ -28,15 +33,12 @@ import (
 // identically named constants with opposite meanings would be a trap.
 const NoSpill int64 = -1
 
-// entry is one stored payload: in memory, spilled to a file, or both
-// (a spilled payload re-admitted into the hot cache keeps its frame on
-// disk so eviction is free).
+// entry is one stored payload: in memory or spilled to a file, never
+// both.
 type entry struct {
 	mem  []byte
 	path string // spilled frame ("" while in memory)
 	size int64  // payload size, pre-compression
-	hot  bool   // re-admitted cache copy (evictable; file remains)
-	use  int64  // LRU clock tick of the last access (hot entries)
 }
 
 // Store is a keyed payload store with a memory watermark. It is safe
@@ -52,8 +54,6 @@ type Store struct {
 	memUse   int64
 	held     int64 // resident payload bytes, in memory or on disk
 	spilled  int64
-	readmit  int64 // cumulative bytes promoted back into memory
-	clock    int64 // LRU clock for hot-entry eviction
 	seq      int
 	closed   bool
 }
@@ -101,15 +101,10 @@ func (s *Store) Put(key string, data []byte) error {
 	}
 	s.dropLocked(key)
 	size := int64(len(data))
-	s.held += size
-	// New primary payloads outrank cached re-admissions: evict hot
-	// copies (their frames stay on disk) before deciding to spill.
-	if s.memLimit >= 0 && s.memUse+size > s.memLimit {
-		s.evictHotLocked(size)
-	}
 	if s.memLimit < 0 || s.memUse+size <= s.memLimit {
 		s.entries[key] = entry{mem: append([]byte(nil), data...), size: size}
 		s.memUse += size
+		s.held += size
 		return nil
 	}
 	dir, err := s.spillDir()
@@ -122,6 +117,7 @@ func (s *Store) Put(key string, data []byte) error {
 		return err
 	}
 	s.entries[key] = entry{path: path, size: size}
+	s.held += size
 	s.spilled += size
 	metrics.SpillBytes.Add(size)
 	return nil
@@ -156,247 +152,116 @@ func (s *Store) writeFrame(path string, data []byte) error {
 }
 
 // Get returns the payload under key. In-memory payloads are returned
-// without copying (treat them as immutable); spilled payloads are read
-// back whole — O(payload) transient memory, freed once the caller
-// drops it.
+// without copying (treat them as immutable); a spilled payload is read
+// back whole into one buffer sized from the entry — O(payload)
+// transient memory, freed once the caller drops it.
 func (s *Store) Get(key string) ([]byte, error) {
-	r, err := s.Open(key)
+	e, err := s.lookup(key)
+	if err != nil || e.path == "" {
+		return e.mem, err
+	}
+	r, err := s.openFrame(e.path)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	if br, ok := r.(*memReader); ok {
-		return br.data, nil
+	out := make([]byte, e.size)
+	if _, err := io.ReadFull(r, out); err != nil {
+		return nil, fmt.Errorf("spill: read frame: %w", err)
 	}
-	return io.ReadAll(r)
+	return out, nil
 }
 
-// Has reports whether key is stored.
-func (s *Store) Has(key string) bool {
+// lookup returns key's entry. A payload lives in exactly one place:
+// in memory (path == "") or in its spill frame.
+func (s *Store) lookup(key string) (entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[key]
-	return ok
+	e, ok := s.entries[key]
+	if !ok {
+		return entry{}, fmt.Errorf("spill: no payload under %q", key)
+	}
+	return e, nil
 }
-
-// memReader serves an in-memory payload; Get short-circuits it to
-// avoid a copy.
-type memReader struct {
-	bytes.Reader
-	data []byte
-}
-
-func (*memReader) Close() error { return nil }
 
 // Open returns a streaming reader over key's payload — the chunked
 // read path: a spilled payload streams from its file (through the
-// codec) without materializing. Hot spilled payloads that fit under
-// the watermark are re-admitted into memory first (see GetRange), so
-// repeated opens of the same partition are served from the cache.
+// codec) without materializing.
 func (s *Store) Open(key string) (io.ReadCloser, error) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	codec := s.codec
-	// An empty in-memory payload has a nil mem slice; no path means it
-	// was never spilled, so it still serves from memory.
-	if ok && (e.mem != nil || e.path == "") {
-		s.touchLocked(key, e)
-		s.mu.Unlock()
-		r := &memReader{data: e.mem}
-		r.Reset(e.mem)
-		return r, nil
-	}
-	readmit := ok && s.memLimit > 0 && e.size <= s.memLimit
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("spill: no payload under %q", key)
-	}
-	if readmit {
-		if data, err := s.readmitSpilled(key, e); err == nil {
-			r := &memReader{data: data}
-			r.Reset(data)
-			return r, nil
-		}
-		// Fall through to the streaming path on any re-admission
-		// failure — serving the read matters more than caching it.
-	}
-	f, err := os.Open(e.path)
+	e, err := s.lookup(key)
 	if err != nil {
-		return nil, fmt.Errorf("spill: %w", err)
+		return nil, err
 	}
-	if codec == nil {
-		return f, nil
+	if e.path == "" {
+		return io.NopCloser(bytes.NewReader(e.mem)), nil
 	}
-	cr, err := codec.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("spill: open frame: %w", err)
-	}
-	return &frameReader{ReadCloser: cr, file: f}, nil
+	return s.openFrame(e.path)
 }
 
 // GetRange returns up to max bytes of key's payload starting at off,
 // along with the payload's total size — the primitive behind chunked
 // FetchPartition serving. max <= 0 means "the rest". Reads past the
 // end return an empty slice, not an error, so callers can detect the
-// end by comparing off against the returned size. A spilled payload is
-// re-admitted into the hot cache when it fits under the watermark, so
-// a reducer's repeated chunk fetches decompress the frame once, not
-// once per chunk.
+// end by comparing off against the returned size. In-memory payloads
+// are sliced without copying; an uncompressed spilled frame serves
+// the window with one ReadAt, so a chunk costs its own bytes, not the
+// frame's. A compressed frame has no block index: it is decoded from
+// the start and the prefix before off discarded.
 func (s *Store) GetRange(key string, off, max int64) ([]byte, int64, error) {
 	if off < 0 {
 		return nil, 0, fmt.Errorf("spill: negative offset %d for %q", off, key)
 	}
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok && (e.mem != nil || e.path == "") {
-		s.touchLocked(key, e)
-		s.mu.Unlock()
-		return sliceRange(e.mem, off, max), e.size, nil
-	}
-	readmit := ok && s.memLimit > 0 && e.size <= s.memLimit
-	s.mu.Unlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("spill: no payload under %q", key)
-	}
-	if readmit {
-		if data, err := s.readmitSpilled(key, e); err == nil {
-			return sliceRange(data, off, max), e.size, nil
-		}
-	}
-	// Too big for the cache (or the watermark is 0): stream the frame,
-	// discard the prefix, read the window.
-	f, err := os.Open(e.path)
+	e, err := s.lookup(key)
 	if err != nil {
-		return nil, 0, fmt.Errorf("spill: %w", err)
+		return nil, 0, err
 	}
-	var r io.Reader = f
-	var cr io.ReadCloser
-	if s.codec != nil {
-		if cr, err = s.codec.NewReader(f); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("spill: open frame: %w", err)
-		}
-		r = cr
-	}
-	defer func() {
-		if cr != nil {
-			cr.Close()
-		}
-		f.Close()
-	}()
-	if off > e.size {
-		off = e.size
-	}
-	if _, err := io.CopyN(io.Discard, r, off); err != nil && err != io.EOF {
-		return nil, 0, fmt.Errorf("spill: seek frame: %w", err)
+	if off >= e.size {
+		return nil, e.size, nil
 	}
 	n := e.size - off
 	if max > 0 && max < n {
 		n = max
 	}
+	if e.path == "" {
+		return e.mem[off : off+n], e.size, nil
+	}
+	r, err := s.openFrame(e.path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer r.Close()
 	out := make([]byte, n)
+	if f, ok := r.(*os.File); ok {
+		if _, err := f.ReadAt(out, off); err != nil {
+			return nil, 0, fmt.Errorf("spill: read frame range: %w", err)
+		}
+		return out, e.size, nil
+	}
+	if _, err := io.CopyN(io.Discard, r, off); err != nil {
+		return nil, 0, fmt.Errorf("spill: seek frame: %w", err)
+	}
 	if _, err := io.ReadFull(r, out); err != nil {
 		return nil, 0, fmt.Errorf("spill: read frame range: %w", err)
 	}
 	return out, e.size, nil
 }
 
-// sliceRange views [off, off+max) of data, clamped to its bounds.
-func sliceRange(data []byte, off, max int64) []byte {
-	if off >= int64(len(data)) {
-		return nil
-	}
-	end := int64(len(data))
-	if max > 0 && off+max < end {
-		end = off + max
-	}
-	return data[off:end]
-}
-
-// touchLocked bumps key's LRU clock. Callers hold s.mu.
-func (s *Store) touchLocked(key string, e entry) {
-	s.clock++
-	e.use = s.clock
-	s.entries[key] = e
-}
-
-// evictHotLocked evicts least-recently-used hot cache copies until
-// need more bytes fit under the watermark or no hot entries remain
-// (their spill frames stay on disk, so eviction never loses data).
-// It reports whether the headroom was achieved. Callers hold s.mu.
-func (s *Store) evictHotLocked(need int64) bool {
-	for s.memUse+need > s.memLimit {
-		victim := ""
-		var oldest int64
-		for k, e := range s.entries {
-			if e.hot && (victim == "" || e.use < oldest) {
-				victim, oldest = k, e.use
-			}
-		}
-		if victim == "" {
-			return false
-		}
-		e := s.entries[victim]
-		e.mem = nil
-		e.hot = false
-		s.entries[victim] = e
-		s.memUse -= e.size
-	}
-	return true
-}
-
-// readmitSpilled reads a spilled frame whole and promotes it into the
-// hot cache if headroom can be made by evicting colder cache copies.
-// The frame stays on disk either way; the returned payload is valid
-// even when caching fails.
-func (s *Store) readmitSpilled(key string, e entry) ([]byte, error) {
-	data, err := s.readFrame(e.path)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.entries[key]
-	if !ok || cur.path != e.path || cur.mem != nil {
-		// Deleted, replaced, or raced with another re-admission; serve
-		// what we read without touching the cache.
-		if ok && cur.mem != nil {
-			return cur.mem, nil
-		}
-		return data, nil
-	}
-	if s.evictHotLocked(cur.size) {
-		cur.mem = data
-		cur.hot = true
-		s.memUse += cur.size
-		s.readmit += cur.size
-		s.touchLocked(key, cur)
-	}
-	return data, nil
-}
-
-// readFrame reads one spilled frame whole, through the codec when set.
-func (s *Store) readFrame(path string) ([]byte, error) {
+// openFrame opens a spilled frame as a payload stream: the bare file
+// when no codec is set, the codec's decompressor over it otherwise.
+func (s *Store) openFrame(path string) (io.ReadCloser, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if s.codec != nil {
-		cr, err := s.codec.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("spill: open frame: %w", err)
-		}
-		defer cr.Close()
-		r = cr
+	if s.codec == nil {
+		return f, nil
 	}
-	data, err := io.ReadAll(r)
+	cr, err := s.codec.NewReader(f)
 	if err != nil {
-		return nil, fmt.Errorf("spill: read frame: %w", err)
+		f.Close()
+		return nil, fmt.Errorf("spill: open frame: %w", err)
 	}
-	return data, nil
+	return &frameReader{ReadCloser: cr, file: f}, nil
 }
 
 // frameReader closes both the codec stream and the underlying file.
@@ -415,13 +280,8 @@ func (r *frameReader) Close() error {
 
 // Size returns the payload size under key (pre-compression).
 func (s *Store) Size(key string) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return 0, fmt.Errorf("spill: no payload under %q", key)
-	}
-	return e.size, nil
+	e, err := s.lookup(key)
+	return e.size, err
 }
 
 // Delete removes key's payload (and its spill file, if any). Deleting
@@ -438,10 +298,9 @@ func (s *Store) dropLocked(key string) {
 	if !ok {
 		return
 	}
-	if e.mem != nil {
+	if e.path == "" {
 		s.memUse -= e.size
-	}
-	if e.path != "" {
+	} else {
 		os.Remove(e.path)
 	}
 	s.held -= e.size
@@ -471,14 +330,6 @@ func (s *Store) SpilledBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.spilled
-}
-
-// ReadmittedBytes reports the cumulative payload bytes promoted from
-// spill frames back into the hot in-memory cache.
-func (s *Store) ReadmittedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readmit
 }
 
 // Len reports the number of stored payloads.

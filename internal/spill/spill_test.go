@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -160,151 +161,113 @@ func TestCloseRemovesSpillDir(t *testing.T) {
 	}
 }
 
-func TestHotPartitionReadmission(t *testing.T) {
-	s := NewStore(t.TempDir(), 25_000, nil)
-	defer s.Close()
-	// a, b fill the watermark; c spills.
-	for i, k := range []string{"a", "b", "c"} {
-		if err := s.Put(k, payload(10_000, byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.MemBytes() != 20_000 || s.SpilledBytes() != 10_000 {
-		t.Fatalf("mem=%d spilled=%d, want 20000/10000", s.MemBytes(), s.SpilledBytes())
-	}
-	// c cannot be re-admitted while a and b (primary residents) hold
-	// the watermark.
-	if got, _ := s.Get("c"); !bytes.Equal(got, payload(10_000, 2)) {
-		t.Fatal("spilled payload corrupted")
-	}
-	if s.ReadmittedBytes() != 0 {
-		t.Fatalf("readmitted %d with no headroom, want 0", s.ReadmittedBytes())
-	}
-	// Freeing a primary resident makes room: the next fetch of c is
-	// promoted into memory and subsequent reads hit the cache.
-	s.Delete("a")
-	if got, _ := s.Get("c"); !bytes.Equal(got, payload(10_000, 2)) {
-		t.Fatal("spilled payload corrupted")
-	}
-	if s.ReadmittedBytes() != 10_000 {
-		t.Fatalf("readmitted %d, want 10000", s.ReadmittedBytes())
-	}
-	if s.MemBytes() != 20_000 {
-		t.Fatalf("mem use %d after re-admission, want 20000", s.MemBytes())
-	}
-	// The hot copy keeps its frame on disk, so a new primary Put that
-	// needs the room simply evicts it — and c still reads back whole.
-	if err := s.Put("d", payload(10_000, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SpilledBytes(); got != 10_000 {
-		t.Fatalf("spilled %d after hot eviction made room, want 10000", got)
-	}
-	if got, _ := s.Get("c"); !bytes.Equal(got, payload(10_000, 2)) {
-		t.Fatal("payload lost across hot eviction")
-	}
-}
-
-func TestReadmissionLRU(t *testing.T) {
-	s := NewStore(t.TempDir(), 20_000, nil)
-	defer s.Close()
-	// Everything spills except nothing is resident: watermark 20000,
-	// three 10000-byte payloads -> a, b in memory, c spilled... keep it
-	// deterministic instead: spill-everything via tiny watermark is no
-	// re-admission, so use explicit deletes.
-	for i, k := range []string{"x", "y", "z"} {
-		if err := s.Put(k, payload(10_000, byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// x, y resident; z spilled. Free both residents.
-	s.Delete("x")
-	s.Delete("y")
-	// z promotes; cache now holds z (10000/20000).
-	if _, err := s.Get("z"); err != nil {
-		t.Fatal(err)
-	}
-	// Two more spilled payloads via a full watermark.
-	if err := s.Put("w", payload(10_000, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("v", payload(10_000, 8)); err != nil {
-		t.Fatal(err)
-	}
-	// w and v displaced nothing permanent; fetch both so whichever was
-	// spilled gets promoted, evicting the least-recently-used hot copy.
-	if _, err := s.Get("w"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("v"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.MemBytes(); got > 20_000 {
-		t.Fatalf("mem use %d exceeds watermark after promotions", got)
-	}
-	// Every payload still reads back correctly from cache or disk.
-	for k, salt := range map[string]byte{"z": 2, "w": 9, "v": 8} {
-		got, err := s.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload(10_000, salt)) {
-			t.Fatalf("payload %q corrupted", k)
-		}
-	}
-}
-
 func TestGetRange(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		limit int64
-		codec Codec
+		name    string
+		limit   int64
+		codec   Codec
+		primary int // bytes of primary payloads stored first
+		size    int
+		spills  bool
 	}{
-		{"memory", NoSpill, nil},
-		{"spilled", 0, nil},
-		{"spilled-codec", 0, flateCodec{}},
+		{"memory", NoSpill, nil, 0, 50_000, false},
+		{"spilled", 0, nil, 0, 50_000, true},
+		{"spilled-codec", 0, flateCodec{}, 0, 50_000, true},
+		// The case every benchmark workload hits: primaries already
+		// fill the watermark, so a payload that would fit under it
+		// spills behind them.
+		{"watermark-full", 60_000, nil, 60_000, 50_000, true},
+		{"watermark-full-codec", 60_000, flateCodec{}, 60_000, 50_000, true},
+		// A zero-length payload always fits, even under a full
+		// watermark.
+		{"empty", 0, nil, 0, 0, false},
+		{"empty-watermark-full", 60_000, flateCodec{}, 60_000, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStore(t.TempDir(), tc.limit, tc.codec)
 			defer s.Close()
-			data := payload(50_000, 5)
+			for i := 0; i < tc.primary/10_000; i++ {
+				if err := s.Put(string(rune('a'+i)), payload(10_000, byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data := payload(tc.size, 5)
+			size := int64(tc.size)
 			if err := s.Put("k", data); err != nil {
 				t.Fatal(err)
 			}
-			// Whole payload via chunked reads.
-			var got []byte
-			for off := int64(0); ; {
-				chunk, size, err := s.GetRange("k", off, 7_000)
-				if err != nil {
-					t.Fatal(err)
+			if spilled := s.SpilledBytes() == size && size > 0; spilled != tc.spills {
+				t.Fatalf("spilled %d bytes of %d, want spilled=%v", s.SpilledBytes(), size, tc.spills)
+			}
+			if got := s.MemBytes(); tc.limit >= 0 && got > tc.limit {
+				t.Fatalf("mem use %d exceeds the %d watermark", got, tc.limit)
+			}
+			// Whole payload via chunked reads; every window matches.
+			for _, chunk := range []int64{4_096, 7_000} {
+				var got []byte
+				for off := int64(0); ; {
+					part, n, err := s.GetRange("k", off, chunk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n != size {
+						t.Fatalf("size %d, want %d", n, size)
+					}
+					if want := data[off:min(off+chunk, size)]; !bytes.Equal(part, want) {
+						t.Fatalf("chunk %d at %d: got %d bytes, want %d", chunk, off, len(part), len(want))
+					}
+					got = append(got, part...)
+					off += int64(len(part))
+					if off >= n {
+						break
+					}
 				}
-				if size != 50_000 {
-					t.Fatalf("size %d, want 50000", size)
-				}
-				got = append(got, chunk...)
-				off += int64(len(chunk))
-				if off >= size {
-					break
+				if !bytes.Equal(got, data) {
+					t.Fatalf("chunk %d: reads disagree with payload", chunk)
 				}
 			}
-			if !bytes.Equal(got, data) {
-				t.Fatal("chunked reads disagree with payload")
-			}
-			// Past-the-end reads return empty, not an error.
-			chunk, size, err := s.GetRange("k", 50_000, 1_000)
-			if err != nil || len(chunk) != 0 || size != 50_000 {
-				t.Fatalf("past-end read = (%d bytes, %d, %v)", len(chunk), size, err)
+			// Reads at or past the end return empty, not an error.
+			for _, off := range []int64{size, size + 1, size + 10_000} {
+				part, n, err := s.GetRange("k", off, 1_000)
+				if err != nil || len(part) != 0 || n != size {
+					t.Fatalf("read at %d = (%d bytes, %d, %v)", off, len(part), n, err)
+				}
 			}
 			// max <= 0 reads the rest.
-			rest, _, err := s.GetRange("k", 49_000, 0)
-			if err != nil || !bytes.Equal(rest, data[49_000:]) {
-				t.Fatalf("rest read wrong: %d bytes, %v", len(rest), err)
+			for _, max := range []int64{0, -1} {
+				off := size / 2
+				rest, _, err := s.GetRange("k", off, max)
+				if err != nil || !bytes.Equal(rest, data[off:]) {
+					t.Fatalf("rest read (max %d) wrong: %d bytes, %v", max, len(rest), err)
+				}
 			}
 			if _, _, err := s.GetRange("k", -1, 10); err == nil {
 				t.Fatal("negative offset should error")
 			}
 			if _, _, err := s.GetRange("missing", 0, 10); err == nil {
 				t.Fatal("missing key should error")
+			}
+			// Get returns exactly the payload; a spilled read is sized
+			// from the entry, with no growth slack.
+			whole, err := s.Get("k")
+			if err != nil || !bytes.Equal(whole, data) {
+				t.Fatalf("Get = %d bytes, %v", len(whole), err)
+			}
+			if tc.spills && cap(whole) != tc.size {
+				t.Fatalf("Get of spilled payload: len %d cap %d, want %d", len(whole), cap(whole), tc.size)
+			}
+			// A window of an uncompressed frame costs its own bytes
+			// (plus a file handle), not the frame's.
+			if tc.spills && tc.codec == nil {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				if _, _, err := s.GetRange("k", 1_000, 1_000); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&m1)
+				if got := m1.TotalAlloc - m0.TotalAlloc; got > uint64(tc.size)/4 {
+					t.Fatalf("1000-byte window of a %d-byte frame allocated %d bytes", tc.size, got)
+				}
 			}
 		})
 	}
