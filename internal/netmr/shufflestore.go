@@ -84,9 +84,9 @@ func (st *shuffleStore) get(jobID int64, k partKey) ([]byte, bool) {
 
 // getRange fetches up to max bytes of one payload starting at off,
 // plus the payload's total size — the chunked FetchPartition serving
-// path. A spilled partition is never promoted back into memory: each
-// chunk of an uncompressed frame is one positioned read of its own
-// bytes (see spill.Store.GetRange).
+// path. A spilled partition serves each chunk from its frame; for an
+// uncompressed frame that is one positioned read of the chunk's bytes
+// (see spill.Store.GetRange).
 func (st *shuffleStore) getRange(jobID int64, k partKey, off, max int64) ([]byte, int64, bool) {
 	data, size, err := st.s.GetRange(shuffleKey(jobID, k), off, max)
 	if err != nil {

@@ -125,8 +125,7 @@ func WithAccelerator(dev *AccelDevice) TrackerOption {
 // partitions and streamed outputs above memBytes spill to files under
 // dir ("" selects the OS temp dir), optionally compressed frame by
 // frame by codec. FetchPartition serves spilled payloads straight
-// from their frames, a chunk at a time, without re-admitting them to
-// memory. A negative memBytes keeps everything in memory (the
+// from their frames, a chunk at a time. A negative memBytes keeps everything in memory (the
 // historical behaviour, and the default).
 func WithShuffleSpill(dir string, memBytes int64, codec spill.Codec) TrackerOption {
 	return func(tt *TaskTracker) {

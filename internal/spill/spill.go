@@ -9,9 +9,8 @@
 // (internal/metrics).
 //
 // Every payload lives in exactly one place: in memory, or in its spill
-// frame on disk. A spilled payload is never promoted back; reads are
-// sized from the stored entry, and a range read of an uncompressed
-// frame touches only the bytes it returns.
+// frame on disk. Reads are sized from the stored entry, and a range
+// read of an uncompressed frame touches only the bytes it returns.
 package spill
 
 import (
@@ -172,8 +171,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return out, nil
 }
 
-// lookup returns key's entry. A payload lives in exactly one place:
-// in memory (path == "") or in its spill frame.
+// lookup returns key's entry; path == "" means it is in memory.
 func (s *Store) lookup(key string) (entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
