@@ -45,8 +45,8 @@ func main() {
 	input := flag.String("input", "", "stream this file from disk through Job.Source instead of a synthetic dataset (data workloads)")
 	output := flag.String("output", "", "stream the job's output to this file through Job.Sink (sort and enc)")
 	spillMem := flag.Int64("spill-mem", 0, "data-plane spill watermark in bytes: 0 keeps everything in memory, -1 spills every payload (live and net)")
-	spillCompress := flag.Bool("spill-compress", false, "frame-compress spilled payloads")
-	codec := flag.String("codec", "", "data-plane compression codec (flate): negotiated on the wire for net backends and remote submission, and used for -spill-compress frames")
+	spillCompress := flag.Bool("spill-compress", false, "frame-compress spilled payloads with DEFLATE")
+	codec := flag.String("codec", "", "data-plane compression codec (flate): negotiated on the wire for net backends and remote submission")
 	serveMode := flag.Bool("serve", false, "run a long-lived multi-tenant job service instead of one job; print its addresses and block until interrupted")
 	quotas := flag.String("quotas", "", "per-tenant quotas for -serve: tenant=weight[:maxJobs[:maxTrackers[:spillBytes[:maxQueued]]]],...")
 	slots := flag.Int("slots", 2, "task slots per worker (-serve)")

@@ -39,9 +39,6 @@ func serve(nodes, slots int, blockSize int64, quotaSpec string, spillMem int64, 
 		var codec spill.Codec
 		if spillCompress {
 			codec = spill.Flate()
-			if codecName != "" {
-				codec, _ = spill.CodecByName(codecName) // validated above
-			}
 		}
 		opts = append(opts, netmr.WithSpill("", mem, codec))
 	}

@@ -106,17 +106,15 @@ type Config struct {
 	// the OS temp dir). Stores create and remove their own
 	// subdirectories.
 	SpillDir string
-	// SpillCompress frame-compresses spilled payloads — trade CPU for
-	// spill-disk footprint. The codec is Codec when set, DEFLATE at
-	// fastest otherwise.
+	// SpillCompress frame-compresses spilled payloads with DEFLATE at
+	// its fastest setting — trade CPU for spill-disk footprint.
 	SpillCompress bool
 	// Codec names the data-plane compression codec (spill.CodecByName:
 	// "flate" for DEFLATE; "" for none, the default). On the net
-	// backend a non-empty Codec is also negotiated as the rpcnet wire
+	// backend a non-empty Codec is negotiated as the rpcnet wire
 	// codec, so DFS block transfers and shuffle FetchPartition payloads
 	// are compressed per frame on the wire; results stay bit-identical
-	// with it on or off. With SpillCompress set it selects the spill
-	// frame codec too.
+	// with it on or off.
 	Codec string
 	// Timeline requests a rendered task Gantt chart in Result.Sim
 	// (simulated backend).
@@ -332,16 +330,11 @@ func (c Config) spillMem() int64 {
 	}
 }
 
-// spillCodec resolves the spill frame codec: Codec when named,
-// DEFLATE otherwise. Callers run after withDefaults, so a non-empty
-// Codec is known to resolve.
+// spillCodec resolves the spill frame codec: DEFLATE when
+// SpillCompress is set, none otherwise.
 func (c Config) spillCodec() spill.Codec {
 	if !c.SpillCompress {
 		return nil
-	}
-	if c.Codec != "" {
-		codec, _ := spill.CodecByName(c.Codec)
-		return codec
 	}
 	return spill.Flate()
 }
