@@ -105,7 +105,7 @@ func WithAcceleratedNodes(n int) LiveOption { return func(c *liveConfig) { c.acc
 func WithSPEBlockBytes(b int) LiveOption { return func(c *liveConfig) { c.speBlock = b } }
 
 // WithRacks spreads the nodes round-robin over n named racks
-// (topo.RackName); the DFS then spreads block replicas across racks on
+// (topo.RoundRobin); the DFS then spreads block replicas across racks on
 // write and repair. n < 2 keeps the flat default topology.
 func WithRacks(n int) LiveOption { return func(c *liveConfig) { c.racks = n } }
 
@@ -213,11 +213,7 @@ func NewLiveCluster(n int, opts ...LiveOption) (*LiveCluster, error) {
 	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("node%03d", i)
-		rack := topo.DefaultRack
-		if cfg.racks >= 2 {
-			rack = topo.RackName(i % cfg.racks)
-		}
-		if _, err := nn.RegisterDataNodeAt(name, rack); err != nil {
+		if _, err := nn.RegisterDataNodeAt(name, topo.RoundRobin(i, cfg.racks)); err != nil {
 			return nil, err
 		}
 		node := &LiveNode{Name: name, Blade: cellbe.NewBlade()}

@@ -358,7 +358,7 @@ func (nj *netJob) collect() (*Result, error) {
 			if sink == nil {
 				sink = &buf
 			}
-			n, err := r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, sink, netmr.DecodeRawBytes)
+			n, err := r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, sink)
 			if err != nil {
 				return nil, err
 			}
@@ -401,7 +401,7 @@ func (nj *netJob) collect() (*Result, error) {
 			// Fully streamed: ciphertext blocks park on the trackers
 			// (spilling past the watermark) and flow straight to the
 			// sink — the JobTracker and client never hold the output.
-			n, err := r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, job.Sink, netmr.DecodeRawBytes)
+			n, err := r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, job.Sink)
 			if err != nil {
 				return nil, err
 			}

@@ -181,74 +181,48 @@ func (nn *NameNode) DataNodes() []string {
 	return out
 }
 
-// liveNodes returns live datanodes, least-loaded first (stable on
-// registration order for determinism).
-func (nn *NameNode) liveNodes() []*DataNode {
-	var out []*DataNode
+// candidates lists the live datanodes in registration order, loaded
+// by their stored bytes — topo.Spread's input. Callers hold nn.mu.
+func (nn *NameNode) candidates() []topo.Candidate {
+	var out []topo.Candidate
 	for _, n := range nn.nodeOrder {
 		if d := nn.nodes[n]; d.alive {
-			out = append(out, d)
+			out = append(out, topo.Candidate{Name: d.Name, Rack: d.Rack, Load: d.used})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].used < out[j].used })
+	return out
+}
+
+// liveHosts filters hosts down to the live datanodes. Callers hold
+// nn.mu.
+func (nn *NameNode) liveHosts(hosts []string) []string {
+	var out []string
+	for _, h := range hosts {
+		if nn.nodes[h].alive {
+			out = append(out, h)
+		}
+	}
 	return out
 }
 
 // place chooses replica hosts for a new block: the preferred node
 // first (HDFS writes the first replica on the writer's node), then
-// rack-spread over the rest — each further replica prefers the
-// least-loaded node on a rack no earlier replica covers, falling back
-// to least-loaded anywhere once every rack is covered. On a flat
-// topology this degenerates to the historical least-loaded order.
+// topo.Spread over the rest — least-loaded on an uncovered rack, then
+// least-loaded anywhere. On a flat topology this degenerates to the
+// historical least-loaded order. Callers hold nn.mu.
 func (nn *NameNode) place(preferred string) ([]*DataNode, error) {
-	live := nn.liveNodes()
-	if len(live) == 0 {
+	cands := nn.candidates()
+	if len(cands) == 0 {
 		return nil, ErrNoDataNodes
 	}
-	var chosen []*DataNode
-	if preferred != "" {
-		if d, ok := nn.nodes[preferred]; ok && d.alive {
-			chosen = append(chosen, d)
-		}
+	var hosts []*DataNode
+	if d, ok := nn.nodes[preferred]; ok && d.alive {
+		hosts = append(hosts, d)
 	}
-	chosen = nn.spreadOver(live, chosen, nn.replication)
-	return chosen, nil
-}
-
-// spreadOver extends chosen up to want replicas from candidates
-// (least-loaded first), preferring nodes on racks chosen doesn't cover
-// yet. Callers hold nn.mu.
-func (nn *NameNode) spreadOver(candidates, chosen []*DataNode, want int) []*DataNode {
-	covered := make(map[string]bool, len(chosen))
-	taken := make(map[*DataNode]bool, len(chosen))
-	for _, c := range chosen {
-		covered[c.Rack] = true
-		taken[c] = true
+	for _, c := range topo.Spread(cands, []string{preferred}, nn.replication) {
+		hosts = append(hosts, nn.nodes[c.Name])
 	}
-	for len(chosen) < want {
-		var pick *DataNode
-		for _, d := range candidates {
-			if !taken[d] && !covered[d.Rack] {
-				pick = d
-				break
-			}
-		}
-		if pick == nil {
-			for _, d := range candidates {
-				if !taken[d] {
-					pick = d
-					break
-				}
-			}
-		}
-		if pick == nil {
-			break
-		}
-		chosen = append(chosen, pick)
-		covered[pick.Rack] = true
-		taken[pick] = true
-	}
-	return chosen
+	return hosts, nil
 }
 
 // addSyntheticBlock registers a metadata-only block (no payload, no
@@ -590,6 +564,10 @@ func (nn *NameNode) Open(name, preferredNode string) (*Reader, error) {
 	return &Reader{nn: nn, name: name, locs: locs, preferred: preferredNode}, nil
 }
 
+// hostAt is topo.ReadOrder's accessor for a bare host name: the
+// Reader orders replicas without racks, preferred node first.
+func hostAt(h string) (string, string) { return h, "" }
+
 // fetchCurrent loads the reader's current block, failing over along
 // the replica list and refreshing stale locations once.
 func (r *Reader) fetchCurrent() ([]byte, error) {
@@ -598,19 +576,8 @@ func (r *Reader) fetchCurrent() ([]byte, error) {
 		if len(hosts) == 0 {
 			return nil, fmt.Errorf("%w: block %d", ErrBlockLost, loc.Block)
 		}
-		ordered := make([]string, 0, len(hosts))
-		for _, h := range hosts {
-			if h == r.preferred {
-				ordered = append(ordered, h)
-			}
-		}
-		for _, h := range hosts {
-			if h != r.preferred {
-				ordered = append(ordered, h)
-			}
-		}
 		var lastErr error
-		for _, h := range ordered {
+		for _, h := range topo.ReadOrder(hosts, hostAt, r.preferred, "") {
 			data, err := r.nn.ReadBlock(loc.Block, h)
 			if err == nil {
 				return data, nil
@@ -688,42 +655,28 @@ func (nn *NameNode) KillDataNode(name string) error {
 	// Re-replicate under-replicated blocks from surviving replicas,
 	// spreading the repairs back across racks.
 	for id, hosts := range nn.locations {
-		var liveHosts []*DataNode
-		for _, h := range hosts {
-			if n := nn.nodes[h]; n.alive {
-				liveHosts = append(liveHosts, n)
-			}
-		}
-		if len(liveHosts) == 0 || len(liveHosts) >= nn.replication {
+		live := nn.liveHosts(hosts)
+		if len(live) == 0 || len(live) >= nn.replication {
 			continue
 		}
-		nn.repairBlock(id, liveHosts)
+		nn.repairBlock(id, live)
 	}
 	return nil
 }
 
-// repairBlock extends a degraded block's replica set back toward the
-// replication target, preferring uncovered racks, and rewrites its
-// location record. Replicas share one stored payload, so the repair is
-// a metadata move. Callers hold nn.mu.
-func (nn *NameNode) repairBlock(id BlockID, liveHosts []*DataNode) {
-	size := liveHosts[0].blocks[id]
-	var candidates []*DataNode
-	for _, cand := range nn.liveNodes() {
-		if _, has := cand.blocks[id]; !has {
-			candidates = append(candidates, cand)
-		}
+// repairBlock tops a block's live replica set (hosts, possibly empty)
+// back up to the replication target through topo.Spread and rewrites
+// its location record. Replicas share one stored payload, so the
+// repair is a metadata move. Callers hold nn.mu.
+func (nn *NameNode) repairBlock(id BlockID, hosts []string) {
+	size := nn.blockSizes[id]
+	for _, c := range topo.Spread(nn.candidates(), hosts, nn.replication) {
+		d := nn.nodes[c.Name]
+		d.blocks[id] = size
+		d.used += size
+		hosts = append(hosts, c.Name)
 	}
-	grown := nn.spreadOver(candidates, liveHosts, nn.replication)
-	for _, h := range grown[len(liveHosts):] {
-		h.blocks[id] = size
-		h.used += size
-	}
-	names := make([]string, 0, len(grown))
-	for _, h := range grown {
-		names = append(names, h.Name)
-	}
-	nn.locations[id] = names
+	nn.locations[id] = hosts
 }
 
 // DecommissionDataNode retires a node gracefully: every replica it
@@ -744,42 +697,15 @@ func (nn *NameNode) DecommissionDataNode(name string) error {
 	}
 	// Out of placement while the drain runs.
 	d.alive = false
-	for id := range d.blocks {
-		var liveHosts []*DataNode
-		for _, h := range nn.locations[id] {
-			if n := nn.nodes[h]; n.alive {
-				liveHosts = append(liveHosts, n)
-			}
-		}
-		if len(liveHosts) == 0 {
-			// This node holds the only copy: it must land somewhere
-			// before the node may leave.
-			var candidates []*DataNode
-			for _, cand := range nn.liveNodes() {
-				if _, has := cand.blocks[id]; !has {
-					candidates = append(candidates, cand)
-				}
-			}
-			if len(candidates) == 0 {
-				d.alive = true
-				return fmt.Errorf("%w: decommission %s would lose block %d", ErrNoDataNodes, name, id)
-			}
-			t := candidates[0]
-			size := d.blocks[id]
-			t.blocks[id] = size
-			t.used += size
-			liveHosts = append(liveHosts, t)
-		}
-		if len(liveHosts) < nn.replication {
-			nn.repairBlock(id, liveHosts)
-		} else {
-			names := make([]string, 0, len(liveHosts))
-			for _, h := range liveHosts {
-				names = append(names, h.Name)
-			}
-			nn.locations[id] = names
-		}
-		d.used -= d.blocks[id]
+	if len(d.blocks) > 0 && len(nn.candidates()) == 0 {
+		d.alive = true
+		return fmt.Errorf("%w: decommission %s would lose its %d blocks", ErrNoDataNodes, name, len(d.blocks))
+	}
+	// A block this node holds the only copy of lands on the
+	// least-loaded live node first, then spreads like any repair.
+	for id, size := range d.blocks {
+		nn.repairBlock(id, nn.liveHosts(nn.locations[id]))
+		d.used -= size
 	}
 	delete(nn.nodes, name)
 	for i, n := range nn.nodeOrder {

@@ -189,8 +189,8 @@ func (c *Client) putBlock(nnc *rpcnet.Client, name string, blk BlockInfo, chunk 
 	// readers never chase the unwritten one.
 	var stored []string
 	var lastErr error
-	for _, addr := range blk.ReplicaAddrs() {
-		dnc, err := c.wire.get(addr)
+	for _, r := range blk.Replicas {
+		dnc, err := c.wire.get(r.Addr)
 		if err != nil {
 			lastErr = err
 			continue
@@ -200,13 +200,13 @@ func (c *Client) putBlock(nnc *rpcnet.Client, name string, blk BlockInfo, chunk 
 			lastErr = err
 			continue
 		}
-		stored = append(stored, addr)
+		stored = append(stored, r.Addr)
 	}
 	if len(stored) == 0 {
 		return fmt.Errorf("netmr: block %d: no replica target reachable: %v",
 			blk.ID, lastErr)
 	}
-	if len(stored) < len(blk.ReplicaAddrs()) {
+	if len(stored) < len(blk.Replicas) {
 		err := nnc.Call("Confirm", ConfirmArgs{
 			File: name, BlockID: blk.ID, Replicas: stored,
 		}, nil)
@@ -229,7 +229,7 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 	}
 	var out []byte
 	for _, blk := range lookup.Blocks {
-		data, _, err := readBlockFrom(c.wire, blk, blk.ReplicaAddrs())
+		data, _, err := readBlockFrom(c.wire, blk.ID, blk.Replicas)
 		if err != nil {
 			return nil, err
 		}
@@ -244,29 +244,29 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 // re-issued elsewhere — instead of a leaked task slot.
 const dataCallTimeout = 30 * time.Second
 
-// readBlockFrom fetches one block from the first reachable address,
-// trying addrs in order and returning the address that served the read
+// readBlockFrom fetches block id from the first reachable replica,
+// trying replicas in order and returning the one that served the read
 // for the caller's accounting — the one copy of the DFS read-failover
 // protocol, shared by the client and the TaskTrackers. Connections
 // come from the caller's cache; a dead replica costs a failed call,
 // not a poisoned cache entry (the pooled client redials on reuse).
-func readBlockFrom(wire *connCache, blk BlockInfo, addrs []string) ([]byte, string, error) {
+func readBlockFrom(wire *connCache, id int64, replicas []Replica) ([]byte, Replica, error) {
 	var lastErr error
-	for _, addr := range addrs {
-		dnc, err := wire.get(addr)
+	for _, r := range replicas {
+		dnc, err := wire.get(r.Addr)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		var get GetReply
-		err = dnc.CallTimeout("Get", GetArgs{ID: blk.ID}, &get, dataCallTimeout)
+		err = dnc.CallTimeout("Get", GetArgs{ID: id}, &get, dataCallTimeout)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		return get.Data, addr, nil
+		return get.Data, r, nil
 	}
-	return nil, "", fmt.Errorf("netmr: block %d: no replica reachable: %v", blk.ID, lastErr)
+	return nil, Replica{}, fmt.Errorf("netmr: block %d: no replica reachable: %v", id, lastErr)
 }
 
 // ListFiles returns the namespace listing.
@@ -429,29 +429,20 @@ func (c *Client) waitDone(jobID int64, timeout time.Duration) (StatusReply, erro
 	}
 }
 
-// DecodeRawBytes decodes one gob-encoded []byte output piece — the
-// WaitOutput decode hook for byte-stream kernels (aes-ctr, sort).
-func DecodeRawBytes(p []byte) ([]byte, error) {
-	var b []byte
-	err := rpcnet.Unmarshal(p, &b)
-	return b, err
-}
-
-// outputChunkBytes is WaitOutput's fetch granularity for raw-stored
-// pieces: one chunk is resident at a time, so streaming a job's output
-// costs O(chunk) client memory no matter how large the result is.
+// outputChunkBytes is WaitOutput's fetch granularity: one chunk is
+// resident at a time, so streaming a job's output costs O(chunk)
+// client memory no matter how large the result is.
 const outputChunkBytes = 1 << 20
 
 // WaitOutput polls a StreamOutput job to completion, then streams its
 // stored result pieces — fetched in task order straight from the
 // worker trackers' shuffle stores — into w, and releases the job so
-// the stores can free the space. Pieces the trackers stored raw
-// (MapOutputRef.Raw) are pulled in bounded chunks, so the client's
-// peak memory is O(chunk) regardless of output size; legacy encoded
-// pieces are fetched whole and passed through decode when non-nil.
-// The JobTracker never touches the output bytes. Returns the bytes
-// written to w.
-func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer, decode func([]byte) ([]byte, error)) (int64, error) {
+// the stores can free the space. The trackers store the pieces as raw
+// result bytes (the kernel's RawOutput hook), pulled here in bounded
+// chunks, so the client's peak memory is O(chunk) regardless of output
+// size. The JobTracker never touches the output bytes. Returns the
+// bytes written to w.
+func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (int64, error) {
 	st, err := c.waitDone(jobID, timeout)
 	if err != nil {
 		return 0, err
@@ -474,38 +465,17 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer, dec
 		if err != nil {
 			return total, fmt.Errorf("netmr: job %d output store %s: %w", jobID, ref.Addr, err)
 		}
-		if ref.Raw {
-			n, err := c.streamOutputPiece(cc, jobID, ref, w)
-			total += n
-			if err != nil {
-				return total, fmt.Errorf("netmr: job %d stream output (%d,%d) from %s: %w",
-					jobID, ref.MapTask, ref.Part, ref.Addr, err)
-			}
-			continue
-		}
-		var rep FetchPartitionReply
-		if err := cc.CallTimeout("FetchPartition", FetchPartitionArgs{
-			JobID: jobID, MapTask: ref.MapTask, Part: ref.Part,
-		}, &rep, dataCallTimeout); err != nil {
-			return total, fmt.Errorf("netmr: job %d fetch output (%d,%d) from %s: %w",
-				jobID, ref.MapTask, ref.Part, ref.Addr, err)
-		}
-		chunk := rep.Data
-		if decode != nil {
-			if chunk, err = decode(chunk); err != nil {
-				return total, err
-			}
-		}
-		n, err := w.Write(chunk)
-		total += int64(n)
+		n, err := c.streamOutputPiece(cc, jobID, ref, w)
+		total += n
 		if err != nil {
-			return total, err
+			return total, fmt.Errorf("netmr: job %d stream output (%d,%d) from %s: %w",
+				jobID, ref.MapTask, ref.Part, ref.Addr, err)
 		}
 	}
 	return total, nil
 }
 
-// streamOutputPiece pulls one raw-stored output piece in
+// streamOutputPiece pulls one stored output piece in
 // outputChunkBytes-sized ranges and writes each to w as it lands.
 func (c *Client) streamOutputPiece(cc *rpcnet.Client, jobID int64, ref MapOutputRef, w io.Writer) (int64, error) {
 	var total int64
@@ -719,7 +689,7 @@ func WithQuotas(quotas map[string]Quota) ClusterOption {
 }
 
 // WithRacks spreads the workers round-robin over n named racks
-// (topo.RackName); block replicas then spread across racks on write
+// (topo.RoundRobin); block replicas then spread across racks on write
 // and repair, and the scheduler adds a rack-local grant pass between
 // node-local and remote. n < 2 keeps the historical flat topology.
 func WithRacks(n int) ClusterOption {
@@ -821,15 +791,6 @@ func StartCluster(workers, slots int, blockSize int64, heartbeat time.Duration, 
 	return c, nil
 }
 
-// workerRack names worker i's rack under the configured topology ("",
-// the flat default, when racks < 2).
-func (c *Cluster) workerRack(i int) string {
-	if c.cfg.racks < 2 {
-		return ""
-	}
-	return topo.RackName(i % c.cfg.racks)
-}
-
 // startWorker boots worker i's DataNode/TaskTracker pair with the
 // cluster's per-worker configuration. It performs network I/O (both
 // daemons bind listeners and dial their masters), so callers must NOT
@@ -837,7 +798,7 @@ func (c *Cluster) workerRack(i int) string {
 // roster by the caller.
 func (c *Cluster) startWorker(i int) (*DataNode, *TaskTracker, error) {
 	cfg := c.cfg
-	rack := c.workerRack(i)
+	rack := topo.RoundRobin(i, cfg.racks)
 	var dnOpts []DataNodeOption
 	if cfg.spillMem >= 0 {
 		dnOpts = append(dnOpts, WithBlockSpill(cfg.spillDir, cfg.spillMem, cfg.spillCodec))

@@ -80,8 +80,8 @@ func TestWriteFailoverAfterDataNodeDeath(t *testing.T) {
 	}
 	dead := c.DNs[2].Addr()
 	for _, blk := range lookup.Blocks {
-		for _, addr := range blk.ReplicaAddrs() {
-			if addr == dead {
+		for _, r := range blk.Replicas {
+			if r.Addr == dead {
 				t.Fatalf("block %d still lists the dead DataNode %s", blk.ID, dead)
 			}
 		}

@@ -494,6 +494,12 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Streamed pieces are stored raw and pulled in chunks, which takes
+	// the kernel's RawOutput hook.
+	if args.Spec.StreamOutput && kern.RawOutput == nil {
+		return nil, fmt.Errorf("netmr: job %q: kernel %q cannot stream its output",
+			args.Spec.Name, args.Spec.Kernel)
+	}
 	// API-boundary validation: a negative reduce count would otherwise
 	// surface as a partition-hash divide-by-zero deep inside a mapper.
 	if args.Spec.NumReducers < 0 {
@@ -908,13 +914,13 @@ func (jt *JobTracker) grantFromJob(rec *jobRecord, device string, args Heartbeat
 		if args.LocalDataNode != "" || args.Rack != "" {
 			locality = func(i int) sched.Locality {
 				blk := rec.maps[i].Block
-				if blk.Addr == "" {
-					return sched.LocalityRemote // compute task: indifferent
-				}
-				if args.LocalDataNode != "" && slices.Contains(blk.ReplicaAddrs(), args.LocalDataNode) {
+				// A compute task has no replicas: indifferent, remote.
+				if args.LocalDataNode != "" && slices.ContainsFunc(blk.Replicas,
+					func(r Replica) bool { return r.Addr == args.LocalDataNode }) {
 					return sched.LocalityNode
 				}
-				if args.Rack != "" && len(blk.Racks) > 0 && blk.OnRack(args.Rack) {
+				if args.Rack != "" && slices.ContainsFunc(blk.Replicas,
+					func(r Replica) bool { return r.Rack == args.Rack }) {
 					return sched.LocalityRack
 				}
 				return sched.LocalityRemote
@@ -1249,13 +1255,12 @@ func (jt *JobTracker) handleStatus(body []byte) (any, error) {
 	// pieces, in task order.
 	var outputs []MapOutputRef
 	if rec.streamOut && rec.done && rec.failed == "" {
-		raw := rec.kern.RawOutput != nil
 		outputs = make([]MapOutputRef, len(rec.outLoc))
 		for i, addr := range rec.outLoc {
 			if rec.shuffle {
-				outputs[i] = MapOutputRef{MapTask: -1, Part: i, Addr: addr, Raw: raw}
+				outputs[i] = MapOutputRef{MapTask: -1, Part: i, Addr: addr}
 			} else {
-				outputs[i] = MapOutputRef{MapTask: i, Part: -1, Addr: addr, Raw: raw}
+				outputs[i] = MapOutputRef{MapTask: i, Part: -1, Addr: addr}
 			}
 		}
 	}

@@ -48,8 +48,8 @@ type MapKernel struct {
 	// into the raw result bytes before it is parked in the shuffle
 	// store (StreamOutput tasks only). Stored raw, a streamed piece
 	// can be fetched in bounded chunks and written straight to the
-	// client's sink — the flat-heap output path; without the hook the
-	// client falls back to whole-piece fetch plus its decode step.
+	// client's sink — the flat-heap output path. Only kernels with the
+	// hook may stream: Submit rejects StreamOutput without it.
 	RawOutput func(encoded []byte) ([]byte, error)
 }
 

@@ -190,16 +190,15 @@ func TestDataNodeDecommissionReReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, blk := range lookup.Blocks {
-		addrs := blk.ReplicaAddrs()
-		if len(addrs) != 2 {
-			t.Errorf("block %d has %d replicas after decommission, want 2", blk.ID, len(addrs))
+		if len(blk.Replicas) != 2 {
+			t.Errorf("block %d has %d replicas after decommission, want 2", blk.ID, len(blk.Replicas))
 		}
 		racks := make(map[string]bool)
-		for i, addr := range addrs {
-			if addr == retired {
+		for _, r := range blk.Replicas {
+			if r.Addr == retired {
 				t.Errorf("block %d still lists retired replica %s", blk.ID, retired)
 			}
-			racks[blk.RackOfReplica(i)] = true
+			racks[r.Rack] = true
 		}
 		if len(racks) < 2 {
 			t.Errorf("block %d replicas cover %d rack(s) after repair, want >= 2", blk.ID, len(racks))

@@ -188,41 +188,24 @@ func (nn *NameNode) pruneUnservedLocked() {
 }
 
 // pruneBlockLocked removes replicas matching gone from blk, keeping at
-// least one replica, and keeps Addr/Racks consistent. Callers hold
-// nn.mu.
+// least one replica. Callers hold nn.mu.
 func (nn *NameNode) pruneBlockLocked(blk *BlockInfo, gone func(*dnState) bool) {
-	addrs := blk.ReplicaAddrs()
-	keptA := make([]string, 0, len(addrs))
-	keptR := make([]string, 0, len(addrs))
+	kept := make([]Replica, 0, len(blk.Replicas))
 	var dropped []*dnState
-	for i, addr := range addrs {
-		d := nn.nodes[addr]
-		if d != nil && gone(d) {
+	for _, r := range blk.Replicas {
+		if d := nn.nodes[r.Addr]; d != nil && gone(d) {
 			dropped = append(dropped, d)
 			continue
 		}
-		keptA = append(keptA, addr)
-		keptR = append(keptR, nn.rackOfLocked(addr, blk.RackOfReplica(i)))
+		kept = append(kept, r)
 	}
-	if len(keptA) == 0 {
+	if len(kept) == 0 {
 		return // every home is gone: keep the list for a rejoin
 	}
 	for _, d := range dropped {
 		d.load--
 	}
-	blk.Replicas, blk.Racks, blk.Addr = keptA, keptR, keptA[0]
-}
-
-// rackOfLocked resolves addr's current rack, falling back to the
-// recorded one for nodes no longer known. Callers hold nn.mu.
-func (nn *NameNode) rackOfLocked(addr, recorded string) string {
-	if d := nn.nodes[addr]; d != nil {
-		return d.rack
-	}
-	if recorded != "" {
-		return recorded
-	}
-	return topo.DefaultRack
+	blk.Replicas = kept
 }
 
 func (nn *NameNode) handleRegister(body []byte) (any, error) {
@@ -253,38 +236,26 @@ func (nn *NameNode) handleRegister(body []byte) (any, error) {
 	return reply, nil
 }
 
-// placeableNodes lists nodes new replicas may land on, in registration
-// order. Callers hold nn.mu.
-func (nn *NameNode) placeableNodes() []*dnState {
-	out := make([]*dnState, 0, len(nn.order))
+// candidates lists the nodes new replicas may land on, in
+// registration order, loaded by replica count — topo.Spread's input.
+// Callers hold nn.mu.
+func (nn *NameNode) candidates() []topo.Candidate {
+	out := make([]topo.Candidate, 0, len(nn.order))
 	for _, addr := range nn.order {
 		if d := nn.nodes[addr]; d != nil && d.placeable() {
-			out = append(out, d)
+			out = append(out, topo.Candidate{Name: addr, Rack: d.rack, Load: int64(d.load)})
 		}
 	}
 	return out
 }
 
-// pickTarget chooses the next replica home among candidates not in
-// have: first the least-loaded node on a rack the replica set misses
-// (the HDFS rack-spread rule), then the least-loaded anywhere. Returns
-// nil when every candidate already holds a copy. Callers hold nn.mu.
-func pickTarget(candidates []*dnState, have []string, haveRacks map[string]bool) *dnState {
-	var best *dnState
-	bestOffRack := false
-	for _, d := range candidates {
-		if slices.Contains(have, d.addr) {
-			continue
-		}
-		offRack := !haveRacks[d.rack]
-		switch {
-		case best == nil,
-			offRack && !bestOffRack,
-			offRack == bestOffRack && d.load < best.load:
-			best, bestOffRack = d, offRack
-		}
+// addrsOf lists the DataNodes holding blk, primary first.
+func addrsOf(blk BlockInfo) []string {
+	addrs := make([]string, len(blk.Replicas))
+	for i, r := range blk.Replicas {
+		addrs[i] = r.Addr
 	}
-	return best
+	return addrs
 }
 
 func (nn *NameNode) handleAllocate(body []byte) (any, error) {
@@ -294,47 +265,25 @@ func (nn *NameNode) handleAllocate(body []byte) (any, error) {
 	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	candidates := nn.placeableNodes()
-	if len(candidates) == 0 {
+	cands := nn.candidates()
+	if len(cands) == 0 {
 		return nil, fmt.Errorf("netmr: no datanodes registered")
 	}
-	// Primary placement: writer locality first, then least-loaded.
-	var primary *dnState
-	if args.Preferred != "" {
-		for _, d := range candidates {
-			if d.addr == args.Preferred {
-				primary = d
-				break
-			}
-		}
+	// Writer locality first: a placeable preferred node takes the
+	// primary. The other replicas spread across racks (topo.Spread), so
+	// a dead node — or a dead rack — never takes the only copy of a
+	// block with it.
+	var replicas []Replica
+	if d := nn.nodes[args.Preferred]; d != nil && d.placeable() {
+		replicas = append(replicas, Replica{Addr: d.addr, Rack: d.rack})
 	}
-	if primary == nil {
-		primary = pickTarget(candidates, nil, map[string]bool{})
+	for _, c := range topo.Spread(cands, []string{args.Preferred}, nn.want()) {
+		replicas = append(replicas, Replica{Addr: c.Name, Rack: c.Rack})
 	}
-	// Secondary replicas spread across racks: each pick prefers a rack
-	// the replica set does not cover yet, so a dead node — or a dead
-	// rack — never takes the only copy of a block with it.
-	replicas := []string{primary.addr}
-	racks := []string{primary.rack}
-	haveRacks := map[string]bool{primary.rack: true}
-	want := nn.want()
-	if want > len(candidates) {
-		want = len(candidates)
-	}
-	for len(replicas) < want {
-		d := pickTarget(candidates, replicas, haveRacks)
-		if d == nil {
-			break
-		}
-		replicas = append(replicas, d.addr)
-		racks = append(racks, d.rack)
-		haveRacks[d.rack] = true
-	}
-	blk := BlockInfo{ID: nn.nextBlock, Size: args.Size, Addr: primary.addr,
-		Replicas: replicas, Racks: racks}
+	blk := BlockInfo{ID: nn.nextBlock, Size: args.Size, Replicas: replicas}
 	nn.nextBlock++
-	for _, addr := range replicas {
-		nn.nodes[addr].load++
+	for _, r := range replicas {
+		nn.nodes[r.Addr].load++
 	}
 	nn.files[args.File] = append(nn.files[args.File], blk)
 	return AllocateReply{Block: blk}, nil
@@ -360,19 +309,17 @@ func (nn *NameNode) handleConfirm(body []byte) (any, error) {
 		if blocks[i].ID != args.BlockID {
 			continue
 		}
-		for _, addr := range blocks[i].ReplicaAddrs() {
-			if !slices.Contains(args.Replicas, addr) {
-				if d := nn.nodes[addr]; d != nil {
-					d.load--
-				}
+		unstored := func(r Replica) bool { return !slices.Contains(args.Replicas, r.Addr) }
+		kept := slices.DeleteFunc(slices.Clone(blocks[i].Replicas), unstored)
+		if len(kept) == 0 {
+			return nil, fmt.Errorf("netmr: confirm of block %d names none of its replicas", args.BlockID)
+		}
+		for _, r := range blocks[i].Replicas {
+			if d := nn.nodes[r.Addr]; d != nil && unstored(r) {
+				d.load--
 			}
 		}
-		blocks[i].Replicas = append([]string(nil), args.Replicas...)
-		blocks[i].Racks = make([]string, len(args.Replicas))
-		for j, addr := range args.Replicas {
-			blocks[i].Racks[j] = nn.rackOfLocked(addr, "")
-		}
-		blocks[i].Addr = args.Replicas[0]
+		blocks[i].Replicas = kept
 		return ConfirmReply{}, nil
 	}
 	return nil, fmt.Errorf("netmr: confirm of unknown block %d in %q", args.BlockID, args.File)
@@ -384,7 +331,7 @@ type repairOp struct {
 	file string
 	id   int64
 	src  string
-	dst  string
+	dst  Replica
 }
 
 // Repair runs one re-replication pass: every block whose serving
@@ -418,11 +365,12 @@ func (nn *NameNode) Repair() int {
 }
 
 // planRepairsLocked builds the re-replication plan: one op per missing
-// replica. Sources may be draining nodes (they still serve); targets
-// are placeable only. Callers hold nn.mu.
+// replica, homed by topo.Spread. Sources may be draining nodes (they
+// still serve); targets are placeable only, and only placeable
+// replicas count toward the target. Callers hold nn.mu.
 func (nn *NameNode) planRepairsLocked() []repairOp {
-	candidates := nn.placeableNodes()
-	if len(candidates) == 0 {
+	cands := nn.candidates()
+	if len(cands) == 0 {
 		return nil
 	}
 	var ops []repairOp
@@ -433,39 +381,16 @@ func (nn *NameNode) planRepairsLocked() []repairOp {
 	sort.Strings(files)
 	for _, f := range files {
 		for _, blk := range nn.files[f] {
-			served := ""
-			have := append([]string(nil), blk.ReplicaAddrs()...)
-			haveRacks := make(map[string]bool)
-			healthy := 0
-			for i, addr := range blk.ReplicaAddrs() {
-				d := nn.nodes[addr]
-				if d == nil || d.dead {
-					continue
-				}
-				if served == "" {
-					served = addr
-				}
-				if d.placeable() {
-					healthy++
-					haveRacks[nn.rackOfLocked(addr, blk.RackOfReplica(i))] = true
-				}
-			}
-			if served == "" {
+			i := slices.IndexFunc(blk.Replicas, func(r Replica) bool {
+				d := nn.nodes[r.Addr]
+				return d != nil && !d.dead
+			})
+			if i < 0 {
 				continue // no live source: nothing to copy from
 			}
-			want := nn.want()
-			if want > len(candidates) {
-				want = len(candidates)
-			}
-			for healthy < want {
-				d := pickTarget(candidates, have, haveRacks)
-				if d == nil {
-					break
-				}
-				ops = append(ops, repairOp{file: f, id: blk.ID, src: served, dst: d.addr})
-				have = append(have, d.addr)
-				haveRacks[d.rack] = true
-				healthy++
+			for _, c := range topo.Spread(cands, addrsOf(blk), nn.want()) {
+				ops = append(ops, repairOp{file: f, id: blk.ID, src: blk.Replicas[i].Addr,
+					dst: Replica{Addr: c.Name, Rack: c.Rack}})
 			}
 		}
 	}
@@ -483,7 +408,7 @@ func (nn *NameNode) replicate(op repairOp) bool {
 		return false
 	}
 	defer src.Close()
-	err = src.CallTimeout("Replicate", ReplicateArgs{ID: op.id, Target: op.dst}, nil, dataCallTimeout)
+	err = src.CallTimeout("Replicate", ReplicateArgs{ID: op.id, Target: op.dst.Addr}, nil, dataCallTimeout)
 	if err != nil {
 		return false
 	}
@@ -494,23 +419,17 @@ func (nn *NameNode) replicate(op repairOp) bool {
 		if blocks[i].ID != op.id {
 			continue
 		}
-		if slices.Contains(blocks[i].ReplicaAddrs(), op.dst) {
+		if slices.Contains(addrsOf(blocks[i]), op.dst.Addr) {
 			return false // raced with another pass
 		}
-		// Normalize legacy single-addr records before appending.
-		blocks[i].Replicas = blocks[i].ReplicaAddrs()
-		for len(blocks[i].Racks) < len(blocks[i].Replicas) {
-			blocks[i].Racks = append(blocks[i].Racks,
-				nn.rackOfLocked(blocks[i].Replicas[len(blocks[i].Racks)], ""))
-		}
-		blocks[i].Replicas = append(blocks[i].Replicas, op.dst)
-		blocks[i].Racks = append(blocks[i].Racks, nn.rackOfLocked(op.dst, ""))
-		if d := nn.nodes[op.dst]; d != nil {
+		// Clipped: a Lookup reply may still share the old array.
+		blocks[i].Replicas = append(slices.Clip(blocks[i].Replicas), op.dst)
+		if d := nn.nodes[op.dst.Addr]; d != nil {
 			d.load++
 		}
 		return true
 	}
-	nn.invalidateLocked(op.dst, op.id)
+	nn.invalidateLocked(op.dst.Addr, op.id)
 	return false
 }
 
@@ -627,11 +546,11 @@ func (nn *NameNode) handleDelete(body []byte) (any, error) {
 		return nil, fmt.Errorf("netmr: file %q not found", args.File)
 	}
 	for _, blk := range nn.files[args.File] {
-		for _, addr := range blk.ReplicaAddrs() {
-			if d := nn.nodes[addr]; d != nil {
+		for _, r := range blk.Replicas {
+			if d := nn.nodes[r.Addr]; d != nil {
 				d.load--
 			}
-			nn.invalidateLocked(addr, blk.ID)
+			nn.invalidateLocked(r.Addr, blk.ID)
 		}
 	}
 	delete(nn.files, args.File)

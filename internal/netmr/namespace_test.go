@@ -85,7 +85,7 @@ func TestRepairOfDeletedBlockInvalidatesCopy(t *testing.T) {
 	blk := lookup.Blocks[0]
 	var dst *DataNode
 	for _, dn := range c.DNs {
-		if !slices.Contains(blk.ReplicaAddrs(), dn.Addr()) {
+		if !slices.Contains(addrsOf(blk), dn.Addr()) {
 			dst = dn
 		}
 	}
@@ -94,7 +94,7 @@ func TestRepairOfDeletedBlockInvalidatesCopy(t *testing.T) {
 	}
 	// The op names a file the namespace no longer holds, as when the
 	// delete lands between the planned copy and its commit.
-	if c.NN.replicate(repairOp{file: "/deleted", id: blk.ID, src: blk.Addr, dst: dst.Addr()}) {
+	if c.NN.replicate(repairOp{file: "/deleted", id: blk.ID, src: blk.Replicas[0].Addr, dst: Replica{Addr: dst.Addr()}}) {
 		t.Fatal("repair of a deleted file's block committed")
 	}
 	waitFor(t, 10*c.heartbeat, func() bool { return dst.BlockCount() == 0 },
@@ -166,5 +166,35 @@ func TestAllocateWithoutDataNodes(t *testing.T) {
 	var alloc AllocateReply
 	if err := nnc.Call("Allocate", AllocateArgs{File: "/f", Size: 10}, &alloc); err == nil {
 		t.Error("allocation with no datanodes should fail")
+	}
+}
+
+// A Confirm that names none of a block's replicas is refused and
+// leaves the replica list as placed: pruning to it would leave the
+// block with no home.
+func TestConfirmOfForeignReplicasRefused(t *testing.T) {
+	c := startTestCluster(t, 2, 512)
+	if err := c.Client.WriteFile("/x", make([]byte, 500), ""); err != nil {
+		t.Fatal(err)
+	}
+	nnc, err := rpcnet.Dial(c.NN.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nnc.Close()
+	lookup := func() BlockInfo {
+		var reply LookupReply
+		if err := nnc.Call("Lookup", LookupArgs{File: "/x"}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		return reply.Blocks[0]
+	}
+	before := lookup()
+	err = nnc.Call("Confirm", ConfirmArgs{File: "/x", BlockID: before.ID, Replicas: []string{"127.0.0.1:1"}}, nil)
+	if err == nil {
+		t.Fatal("Confirm naming no replica of the block succeeded")
+	}
+	if after := lookup(); !slices.Equal(after.Replicas, before.Replicas) {
+		t.Errorf("refused Confirm changed the replicas: %v -> %v", before.Replicas, after.Replicas)
 	}
 }

@@ -60,7 +60,7 @@ func TestRangePartitionedSortStreamsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	n, err := c.Client.WaitOutput(id, 30*time.Second, &got, nil)
+	n, err := c.Client.WaitOutput(id, 30*time.Second, &got)
 	if err != nil {
 		t.Fatal(err)
 	}

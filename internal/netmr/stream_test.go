@@ -3,6 +3,7 @@ package netmr
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,7 +90,7 @@ func TestStreamOutputEncrypt(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	n, err := c.Client.WaitOutput(id, 30*time.Second, &got, DecodeRawBytes)
+	n, err := c.Client.WaitOutput(id, 30*time.Second, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +168,6 @@ func TestStreamOutputSortShufflePath(t *testing.T) {
 	}
 	var pieces [][]byte
 	for _, ref := range st.Outputs {
-		if !ref.Raw {
-			t.Fatalf("sort output piece (%d,%d) not marked raw", ref.MapTask, ref.Part)
-		}
 		cc, err := c.Client.wire.get(ref.Addr)
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +181,7 @@ func TestStreamOutputSortShufflePath(t *testing.T) {
 		pieces = append(pieces, rep.Data)
 	}
 	var got bytes.Buffer
-	if _, err := c.Client.WaitOutput(id, 30*time.Second, &got, nil); err != nil {
+	if _, err := c.Client.WaitOutput(id, 30*time.Second, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != len(want) {
@@ -267,7 +265,33 @@ func TestWaitOutputRejectsInlineJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Client.WaitOutput(id, 30*time.Second, io.Discard, DecodeRawBytes); err == nil {
+	if _, err := c.Client.WaitOutput(id, 30*time.Second, io.Discard); err == nil {
 		t.Fatal("WaitOutput on an inline job succeeded")
+	}
+}
+
+// TestStreamOutputNeedsRawKernel pins the Submit-side check: a JobSpec
+// arrives from outside the program, and streaming a kernel without a
+// RawOutput hook (wordcount, pi) is refused before the job exists.
+func TestStreamOutputNeedsRawKernel(t *testing.T) {
+	c, err := StartCluster(1, 1, 1_000, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if err := c.Client.WriteFile("/words", []byte("a b a"), ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []JobSpec{
+		{Name: "wc-stream", Kernel: "wordcount", Input: "/words", StreamOutput: true},
+		{Name: "pi-stream", Kernel: "pi", Samples: 1000, StreamOutput: true},
+	} {
+		_, err := c.Client.Submit(spec)
+		if err == nil || !strings.Contains(err.Error(), "cannot stream its output") {
+			t.Errorf("Submit(%s) = %v, want a cannot-stream rejection", spec.Name, err)
+		}
+	}
+	if st := c.JT.TenantStats()[DefaultTenant]; st.ActiveJobs != 0 {
+		t.Errorf("rejected streams left jobs behind: %+v", st)
 	}
 }

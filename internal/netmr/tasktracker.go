@@ -9,6 +9,7 @@ import (
 	"hetmr/internal/flow"
 	"hetmr/internal/rpcnet"
 	"hetmr/internal/spill"
+	"hetmr/internal/topo"
 )
 
 // partKey names one map task's partition in a tracker's shuffle store.
@@ -528,7 +529,7 @@ func (tt *TaskTracker) runTask(task Task) {
 		return
 	}
 	var data []byte
-	if task.Block.Addr != "" {
+	if len(task.Block.Replicas) > 0 {
 		data, err = tt.fetchBlock(task.Block)
 		if err != nil {
 			res.Err = err.Error()
@@ -569,15 +570,14 @@ func (tt *TaskTracker) runTask(task Task) {
 	if task.StreamOutput {
 		// Streamed result path: the output parks here (spilling past
 		// the watermark) and only its location rides the heartbeat;
-		// the client fetches it straight from this store. Kernels with
-		// a RawOutput hook park the unwrapped result bytes, so the
-		// client can stream them in bounded chunks with no decode.
-		if kern.RawOutput != nil {
-			if out, err = kern.RawOutput(out); err != nil {
-				res.Err = err.Error()
-				tt.report(res)
-				return
-			}
+		// the client fetches it straight from this store. The piece
+		// parks as the unwrapped result bytes (RawOutput; Submit only
+		// streams kernels that have it), so the client can stream them
+		// in bounded chunks with no decode.
+		if out, err = kern.RawOutput(out); err != nil {
+			res.Err = err.Error()
+			tt.report(res)
+			return
 		}
 		if err := tt.store.put(task.JobID, streamedMapKey(task.TaskID), out); err != nil {
 			res.Err = err.Error()
@@ -725,14 +725,12 @@ func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res TaskResult) {
 	}
 	if task.StreamOutput {
 		// The merged partition stays here too; the client pulls it in
-		// partition order once the job finishes — raw when the kernel
-		// has a RawOutput hook, so the pull can be chunked.
-		if kern.RawOutput != nil {
-			if out, err = kern.RawOutput(out); err != nil {
-				res.Err = err.Error()
-				tt.report(res)
-				return
-			}
+		// partition order once the job finishes, raw so the pull can
+		// be chunked.
+		if out, err = kern.RawOutput(out); err != nil {
+			res.Err = err.Error()
+			tt.report(res)
+			return
 		}
 		if err := tt.store.put(task.JobID, streamedReduceKey(task.TaskID), out); err != nil {
 			res.Err = err.Error()
@@ -781,44 +779,21 @@ func (tt *TaskTracker) fetchPartition(addr string, args FetchPartitionArgs) ([]b
 }
 
 // fetchBlock pulls one DFS block through the shared read-failover
-// protocol (readBlockFrom), trying replicas in topology order — the
+// protocol (readBlockFrom), trying replicas in topo.ReadOrder — the
 // co-located DataNode first, then same-rack replicas, then the rest in
 // placement order — what keeps map tasks running through a DataNode
 // death while preferring the cheapest surviving copy.
 func (tt *TaskTracker) fetchBlock(blk BlockInfo) ([]byte, error) {
-	addrs := blk.ReplicaAddrs()
-	rackOf := make(map[string]string, len(addrs))
-	for i, addr := range addrs {
-		rackOf[addr] = blk.RackOfReplica(i)
-	}
-	sameRack := func(addr string) bool {
-		return tt.rack != "" && rackOf[addr] == tt.rack
-	}
-	ordered := make([]string, 0, len(addrs))
-	for _, addr := range addrs {
-		if addr == tt.LocalDataNode {
-			ordered = append(ordered, addr)
-		}
-	}
-	for _, addr := range addrs {
-		if addr != tt.LocalDataNode && sameRack(addr) {
-			ordered = append(ordered, addr)
-		}
-	}
-	for _, addr := range addrs {
-		if addr != tt.LocalDataNode && !sameRack(addr) {
-			ordered = append(ordered, addr)
-		}
-	}
-	data, served, err := readBlockFrom(tt.wire, blk, ordered)
+	ordered := topo.ReadOrder(blk.Replicas, Replica.at, tt.LocalDataNode, tt.rack)
+	data, served, err := readBlockFrom(tt.wire, blk.ID, ordered)
 	if err != nil {
 		return nil, err
 	}
 	tt.mu.Lock()
-	switch {
-	case served == tt.LocalDataNode:
+	switch topo.Near(served.Addr, served.Rack, tt.LocalDataNode, tt.rack) {
+	case topo.OnNode:
 		tt.localFetch++
-	case sameRack(served):
+	case topo.OnRack:
 		tt.rackFetch++
 	default:
 		tt.remoteFetch++

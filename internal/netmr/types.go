@@ -27,57 +27,27 @@
 // lifetimes; TenantClient binds a Client to one tenant.
 package netmr
 
-// BlockInfo describes one stored block: its cluster-wide ID, size, the
-// primary DataNode serving it, and every replica holding it.
+// BlockInfo describes one stored block: its cluster-wide ID, its size
+// and every replica holding it. A compute task's block (pi has no
+// input) has no replicas.
 type BlockInfo struct {
 	ID   int64
 	Size int64
-	Addr string // primary DataNode RPC address
-	// Replicas lists every DataNode holding the block, primary first.
+	// Replicas lists every DataNode holding the block, primary first,
+	// each with its rack, so schedulers and readers can grade locality
+	// (node, rack, remote) without a separate topology exchange.
 	// Readers fail over along this list when a DataNode is down.
-	Replicas []string
-	// Racks lists each replica's rack, parallel to Replicas, so
-	// schedulers and readers can grade locality (node, rack, remote)
-	// without a separate topology exchange. Records written before
-	// racks existed leave it empty — every replica then reads as
-	// rack-local, the flat pre-rack behaviour.
-	Racks []string
+	Replicas []Replica
 }
 
-// RackOfReplica reports the rack of the i'th replica (topo.DefaultRack
-// for records predating rack placement).
-func (b BlockInfo) RackOfReplica(i int) string {
-	if i >= 0 && i < len(b.Racks) {
-		return b.Racks[i]
-	}
-	return ""
+// Replica is one home of a block: a DataNode and the rack it sits on.
+type Replica struct {
+	Addr string // DataNode RPC address
+	Rack string
 }
 
-// OnRack reports whether any replica of the block lives on rack.
-// Blocks without rack records match any rack — the flat topology.
-func (b BlockInfo) OnRack(rack string) bool {
-	if len(b.Racks) == 0 {
-		return true
-	}
-	for _, r := range b.Racks {
-		if r == rack {
-			return true
-		}
-	}
-	return false
-}
-
-// ReplicaAddrs returns every DataNode holding the block, primary
-// first, tolerating records written before replication existed.
-func (b BlockInfo) ReplicaAddrs() []string {
-	if len(b.Replicas) > 0 {
-		return b.Replicas
-	}
-	if b.Addr != "" {
-		return []string{b.Addr}
-	}
-	return nil
-}
+// at reports where the replica lives — topo.ReadOrder's accessor.
+func (r Replica) at() (node, rack string) { return r.Addr, r.Rack }
 
 // --- NameNode RPC messages ---
 
@@ -339,7 +309,8 @@ type JobSpec struct {
 	// streams them straight to its sink and then Releases the job so
 	// trackers can free the space. The JobTracker never holds output
 	// bytes — the bounded-memory result path for outputs larger than
-	// any single process should buffer.
+	// any single process should buffer. Only kernels with a RawOutput
+	// hook (sort, aes-ctr) stream; Submit rejects the rest.
 	StreamOutput bool
 	// SplitKeys selects range partitioning for the shuffle: map output
 	// keys route by binary search into these sorted split keys
@@ -368,7 +339,7 @@ type Task struct {
 	TaskID  int
 	Kernel  string
 	Args    []byte
-	Block   BlockInfo // data tasks; Addr=="" for compute tasks
+	Block   BlockInfo // data tasks; no Replicas for compute tasks
 	Samples int64     // compute tasks
 	Seed    uint64
 	// NumParts > 0 on a map task asks the tracker to hash-partition
@@ -405,11 +376,6 @@ type MapOutputRef struct {
 	MapTask int
 	Part    int
 	Addr    string // serving TaskTracker's shuffle-store address
-	// Raw marks a streamed output piece stored as raw result bytes
-	// (the kernel's RawOutput hook unwrapped the task encoding before
-	// storing): the client may fetch it in bounded chunks and write
-	// them straight to the sink, no whole-piece decode step.
-	Raw bool
 }
 
 // TaskResult reports one completed or failed task attempt.

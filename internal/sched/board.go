@@ -62,9 +62,8 @@ func NewBoard(n int, lease time.Duration, opts Options) (*Board, error) {
 	}, nil
 }
 
-// Locality grades how near a task's data sits to a worker, mirroring
-// the topology distance tiers (internal/topo): on the worker's own
-// node, on its rack, or across racks.
+// Locality grades how near a task's data sits to a worker: on the
+// worker's own node, on its rack, or across racks.
 type Locality int
 
 // Locality levels, ordered so a higher value is nearer.

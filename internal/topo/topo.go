@@ -1,158 +1,131 @@
-// Package topo is the cluster's shared topology model: which rack
-// each node lives in, HDFS-style /rack/node paths, and the network
-// distance between nodes. It is the single place rack knowledge lives
-// — the DFS layers (internal/hdfs, the netmr NameNode) consult it for
-// rack-aware replica placement, the scheduler (internal/sched) for the
-// node-local → rack-local → remote grant order, and the runtimes for
-// fetch ordering — so every plane agrees on what "near" means.
+// Package topo is the cluster's rack model: rack names, the
+// round-robin rack assignment, the HDFS replica-placement rule
+// (Spread) and the nearest-first replica read order (ReadOrder). Both
+// DFS NameNodes (internal/hdfs and the netmr NameNode) place and
+// repair replicas through Spread, and the readers (hdfs.Reader, the
+// netmr TaskTrackers) order replica fetches through ReadOrder, so
+// every plane agrees on where a copy belongs and what "near" means.
 //
-// Distances follow the Hadoop convention the paper's testbed inherits:
-// 0 between a node and itself, 2 between nodes sharing a rack, 4
-// across racks. A node nobody assigned a rack to lands in DefaultRack,
-// which reproduces the flat pre-rack topology: every node shares one
-// rack, so rack-locality degenerates to "anywhere", exactly the old
-// behaviour.
+// A node nobody assigned a rack to lands in DefaultRack, which
+// reproduces the flat pre-rack topology: every node shares one rack,
+// so rack-spread placement degenerates to least-loaded placement and
+// rack-locality to "anywhere".
 package topo
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // DefaultRack is the rack of nodes never assigned one. A flat cluster
 // keeps every node here, making all pairs rack-local.
 const DefaultRack = "rack00"
 
-// Distance values between two nodes, Hadoop-style: hops up and down
-// the /rack/node tree.
-const (
-	// DistanceLocal is a node to itself.
-	DistanceLocal = 0
-	// DistanceRack is two distinct nodes sharing a rack.
-	DistanceRack = 2
-	// DistanceRemote is two nodes on different racks.
-	DistanceRemote = 4
-)
-
 // RackName returns the canonical name of rack i ("rack00", "rack01",
-// ...), the scheme RoundRobin and the cluster bootstrappers use.
+// ...), the scheme RoundRobin deals.
 func RackName(i int) string { return fmt.Sprintf("rack%02d", i) }
 
-// RoundRobin deals n nodes across racks round-robin (node i on rack
-// i%racks) and returns each node's rack name. racks < 2 puts everyone
-// in DefaultRack — the flat topology.
-func RoundRobin(n, racks int) []string {
-	out := make([]string, n)
-	for i := range out {
-		if racks < 2 {
-			out[i] = DefaultRack
-		} else {
-			out[i] = RackName(i % racks)
+// RoundRobin names node i's rack when nodes are dealt round-robin over
+// racks (node i on rack i%racks). racks < 2 returns "": no rack
+// assigned, which every consumer reads as the flat DefaultRack.
+func RoundRobin(i, racks int) string {
+	if racks < 2 {
+		return ""
+	}
+	return RackName(i % racks)
+}
+
+// Candidate is one node a replica may land on.
+type Candidate struct {
+	Name string
+	Rack string
+	// Load is the caller's load measure (bytes stored, replica count,
+	// ...); the lighter node wins.
+	Load int64
+}
+
+// Spread picks the homes of a block's next replicas by HDFS's
+// rack-spread rule: each pick is the least-loaded candidate on a rack
+// no replica covers yet, else the least-loaded candidate anywhere.
+// Ties go to the earlier candidate, so cands must be in registration
+// order for placement to be deterministic.
+//
+// have names the block's current replicas. Only those among cands
+// count toward want and cover their rack; a replica on a node that is
+// not a candidate (draining, dead, gone) is neither. Spread returns
+// the picks that bring the counted replicas up to want, fewer when the
+// candidates run out, and never a node have already names.
+func Spread(cands []Candidate, have []string, want int) []Candidate {
+	taken := make(map[string]bool, len(have)+want)
+	covered := make(map[string]bool, want)
+	n := 0
+	for _, c := range cands {
+		if slices.Contains(have, c.Name) {
+			taken[c.Name], covered[c.Rack] = true, true
+			n++
 		}
 	}
-	return out
-}
-
-// Topology is a mutable node → rack map, safe for concurrent use. The
-// zero value is not ready; build one with New.
-type Topology struct {
-	mu     sync.RWMutex
-	rackOf map[string]string
-}
-
-// New returns an empty topology.
-func New() *Topology {
-	return &Topology{rackOf: make(map[string]string)}
-}
-
-// Add places node on rack (an empty rack selects DefaultRack),
-// overwriting any previous assignment — re-registration after a crash
-// may legitimately move a node.
-func (t *Topology) Add(node, rack string) {
-	if rack == "" {
-		rack = DefaultRack
-	}
-	t.mu.Lock()
-	t.rackOf[node] = rack
-	t.mu.Unlock()
-}
-
-// Remove forgets node (decommission). Unknown nodes are a no-op.
-func (t *Topology) Remove(node string) {
-	t.mu.Lock()
-	delete(t.rackOf, node)
-	t.mu.Unlock()
-}
-
-// RackOf reports node's rack; nodes never added resolve to
-// DefaultRack, so an unracked cluster behaves as one flat rack.
-func (t *Topology) RackOf(node string) string {
-	t.mu.RLock()
-	rack, ok := t.rackOf[node]
-	t.mu.RUnlock()
-	if !ok {
-		return DefaultRack
-	}
-	return rack
-}
-
-// Path renders node's HDFS-style topology path, "/rack/node".
-func (t *Topology) Path(node string) string {
-	return "/" + t.RackOf(node) + "/" + node
-}
-
-// Distance reports the network distance between two nodes: 0 for the
-// same node, 2 within a rack, 4 across racks.
-func (t *Topology) Distance(a, b string) int {
-	if a == b {
-		return DistanceLocal
-	}
-	if t.RackOf(a) == t.RackOf(b) {
-		return DistanceRack
-	}
-	return DistanceRemote
-}
-
-// SameRack reports whether two nodes share a rack (true for a node and
-// itself).
-func (t *Topology) SameRack(a, b string) bool {
-	return t.RackOf(a) == t.RackOf(b)
-}
-
-// Racks lists the distinct racks holding at least one node, sorted.
-func (t *Topology) Racks() []string {
-	t.mu.RLock()
-	seen := make(map[string]bool)
-	for _, r := range t.rackOf {
-		seen[r] = true
-	}
-	t.mu.RUnlock()
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NodesIn lists the nodes assigned to rack, sorted.
-func (t *Topology) NodesIn(rack string) []string {
-	t.mu.RLock()
-	var out []string
-	for n, r := range t.rackOf {
-		if r == rack {
-			out = append(out, n)
+	var picks []Candidate
+	for ; n < want; n++ {
+		best := -1
+		for i, c := range cands {
+			if taken[c.Name] {
+				continue
+			}
+			if best < 0 {
+				best = i
+				continue
+			}
+			off, bestOff := !covered[c.Rack], !covered[cands[best].Rack]
+			if off && !bestOff || off == bestOff && c.Load < cands[best].Load {
+				best = i
+			}
 		}
+		if best < 0 {
+			break
+		}
+		c := cands[best]
+		picks = append(picks, c)
+		taken[c.Name], covered[c.Rack] = true, true
 	}
-	t.mu.RUnlock()
-	sort.Strings(out)
-	return out
+	return picks
 }
 
-// Len reports how many nodes the topology knows.
-func (t *Topology) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rackOf)
+// Nearness grades a replica as seen from a reader.
+type Nearness int
+
+const (
+	// OnNode is a replica on the reader's own node.
+	OnNode Nearness = iota
+	// OnRack is a replica elsewhere on the reader's rack.
+	OnRack
+	// OffRack is a replica anywhere else.
+	OffRack
+)
+
+// Near grades a replica on node/rack for a reader on readerNode at
+// readerRack. An empty readerRack has no rack tier: every other node
+// is OffRack.
+func Near(node, rack, readerNode, readerRack string) Nearness {
+	switch {
+	case node == readerNode:
+		return OnNode
+	case readerRack != "" && rack == readerRack:
+		return OnRack
+	}
+	return OffRack
+}
+
+// ReadOrder returns replicas nearest first for a reader on readerNode
+// at readerRack: the replica on the reader's node, then those on its
+// rack, then the rest, each tier in the given placement order. at
+// reports a replica's node and rack.
+func ReadOrder[R any](replicas []R, at func(R) (node, rack string), readerNode, readerRack string) []R {
+	near := func(r R) Nearness {
+		node, rack := at(r)
+		return Near(node, rack, readerNode, readerRack)
+	}
+	out := slices.Clone(replicas)
+	slices.SortStableFunc(out, func(a, b R) int { return int(near(a) - near(b)) })
+	return out
 }

@@ -5,92 +5,118 @@ import (
 	"testing"
 )
 
-func TestDistanceConvention(t *testing.T) {
-	tp := New()
-	tp.Add("a", "rack00")
-	tp.Add("b", "rack00")
-	tp.Add("c", "rack01")
-	if d := tp.Distance("a", "a"); d != DistanceLocal {
-		t.Errorf("self distance = %d, want %d", d, DistanceLocal)
-	}
-	if d := tp.Distance("a", "b"); d != DistanceRack {
-		t.Errorf("same-rack distance = %d, want %d", d, DistanceRack)
-	}
-	if d := tp.Distance("a", "c"); d != DistanceRemote {
-		t.Errorf("cross-rack distance = %d, want %d", d, DistanceRemote)
-	}
-	if !tp.SameRack("a", "b") || tp.SameRack("a", "c") {
-		t.Errorf("SameRack disagrees with Distance")
-	}
-}
-
-func TestUnknownNodesAreFlat(t *testing.T) {
-	tp := New()
-	if r := tp.RackOf("ghost"); r != DefaultRack {
-		t.Errorf("unknown node rack = %q, want %q", r, DefaultRack)
-	}
-	// Two unknown nodes are rack-local: the flat pre-rack topology.
-	if d := tp.Distance("ghost1", "ghost2"); d != DistanceRack {
-		t.Errorf("unknown-pair distance = %d, want %d", d, DistanceRack)
-	}
-}
-
-func TestPath(t *testing.T) {
-	tp := New()
-	tp.Add("node03", "rack01")
-	if p := tp.Path("node03"); p != "/rack01/node03" {
-		t.Errorf("Path = %q, want /rack01/node03", p)
-	}
-}
-
-func TestAddRemoveOverwrite(t *testing.T) {
-	tp := New()
-	tp.Add("n", "rack01")
-	if r := tp.RackOf("n"); r != "rack01" {
-		t.Fatalf("rack = %q, want rack01", r)
-	}
-	tp.Add("n", "rack02") // rejoin on a different rack
-	if r := tp.RackOf("n"); r != "rack02" {
-		t.Errorf("rack after move = %q, want rack02", r)
-	}
-	tp.Add("m", "") // empty rack falls back to the default
-	if r := tp.RackOf("m"); r != DefaultRack {
-		t.Errorf("empty-rack add = %q, want %q", r, DefaultRack)
-	}
-	tp.Remove("n")
-	if r := tp.RackOf("n"); r != DefaultRack {
-		t.Errorf("rack after remove = %q, want %q", r, DefaultRack)
-	}
-	if n := tp.Len(); n != 1 {
-		t.Errorf("Len = %d, want 1", n)
-	}
-}
-
-func TestRacksAndNodesIn(t *testing.T) {
-	tp := New()
-	tp.Add("b", "rack01")
-	tp.Add("a", "rack01")
-	tp.Add("c", "rack00")
-	if got, want := tp.Racks(), []string{"rack00", "rack01"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Racks = %v, want %v", got, want)
-	}
-	if got, want := tp.NodesIn("rack01"), []string{"a", "b"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("NodesIn = %v, want %v", got, want)
-	}
-}
-
 func TestRoundRobin(t *testing.T) {
-	if got, want := RoundRobin(4, 2), []string{"rack00", "rack01", "rack00", "rack01"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("RoundRobin(4,2) = %v, want %v", got, want)
+	var got []string
+	for i := 0; i < 4; i++ {
+		got = append(got, RoundRobin(i, 2))
+	}
+	if want := []string{"rack00", "rack01", "rack00", "rack01"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("RoundRobin(0..3, 2) = %v, want %v", got, want)
 	}
 	for _, racks := range []int{0, 1} {
-		for _, r := range RoundRobin(3, racks) {
-			if r != DefaultRack {
-				t.Errorf("RoundRobin(3,%d) placed a node on %q, want %q", racks, r, DefaultRack)
+		for i := 0; i < 3; i++ {
+			if r := RoundRobin(i, racks); r != "" {
+				t.Errorf("RoundRobin(%d, %d) = %q, want \"\" (flat)", i, racks, r)
 			}
 		}
 	}
 	if got := RackName(7); got != "rack07" {
 		t.Errorf("RackName(7) = %q", got)
+	}
+}
+
+func TestSpread(t *testing.T) {
+	// a c: rack00, b d: rack01, in registration order.
+	cand := func(name, rack string, load int64) Candidate { return Candidate{Name: name, Rack: rack, Load: load} }
+	for _, tc := range []struct {
+		name  string
+		cands []Candidate
+		have  []string
+		want  int
+		picks []string
+	}{
+		{
+			name:  "uncovered rack beats a lighter node on a covered rack",
+			cands: []Candidate{cand("a", "rack00", 5), cand("b", "rack01", 9), cand("c", "rack00", 1)},
+			have:  []string{"a"}, want: 2,
+			picks: []string{"b"},
+		},
+		{
+			name:  "least-loaded anywhere once every rack is covered",
+			cands: []Candidate{cand("a", "rack00", 5), cand("b", "rack01", 9), cand("c", "rack00", 1), cand("d", "rack01", 3)},
+			have:  []string{"a", "b"}, want: 3,
+			picks: []string{"c"},
+		},
+		{
+			name:  "earlier-registered node wins a tie",
+			cands: []Candidate{cand("a", "rack00", 2), cand("b", "rack01", 1), cand("c", "rack00", 2), cand("d", "rack01", 1)},
+			want:  2,
+			picks: []string{"b", "a"},
+		},
+		{
+			name:  "fewer candidates than the target",
+			cands: []Candidate{cand("a", "rack00", 0), cand("b", "rack01", 0)},
+			have:  []string{"a"}, want: 3,
+			picks: []string{"b"},
+		},
+		{
+			name:  "target already met",
+			cands: []Candidate{cand("a", "rack00", 0), cand("b", "rack01", 0), cand("c", "rack00", 0)},
+			have:  []string{"a", "b"}, want: 2,
+			picks: nil,
+		},
+		{
+			// "x" holds a copy but drains: it is not a candidate, so
+			// its rack01 stays uncovered and it does not count.
+			name:  "a draining replica's rack counts as uncovered",
+			cands: []Candidate{cand("a", "rack00", 0), cand("c", "rack00", 0), cand("d", "rack01", 7)},
+			have:  []string{"a", "x"}, want: 2,
+			picks: []string{"d"},
+		},
+		{
+			name:  "flat topology is least-loaded order",
+			cands: []Candidate{cand("a", DefaultRack, 3), cand("b", DefaultRack, 1), cand("c", DefaultRack, 2)},
+			want:  2,
+			picks: []string{"b", "c"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			for _, c := range Spread(tc.cands, tc.have, tc.want) {
+				got = append(got, c.Name)
+			}
+			if !reflect.DeepEqual(got, tc.picks) {
+				t.Errorf("Spread picks %v, want %v", got, tc.picks)
+			}
+		})
+	}
+}
+
+func TestReadOrder(t *testing.T) {
+	type replica struct{ node, rack string }
+	at := func(r replica) (string, string) { return r.node, r.rack }
+	replicas := []replica{{"a", "rack01"}, {"b", "rack00"}, {"c", "rack01"}, {"d", "rack00"}}
+	order := func(readerNode, readerRack string) []string {
+		var out []string
+		for _, r := range ReadOrder(replicas, at, readerNode, readerRack) {
+			out = append(out, r.node)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		node, rack string
+		want       []string
+	}{
+		{"c", "rack00", []string{"c", "b", "d", "a"}}, // own node, own rack, rest
+		{"z", "rack00", []string{"b", "d", "a", "c"}}, // no co-located copy
+		{"c", "", []string{"c", "a", "b", "d"}},       // no rack: preferred first
+		{"", "", []string{"a", "b", "c", "d"}},        // placement order
+	} {
+		if got := order(tc.node, tc.rack); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ReadOrder(%q, %q) = %v, want %v", tc.node, tc.rack, got, tc.want)
+		}
+	}
+	if replicas[0].node != "a" {
+		t.Error("ReadOrder reordered its input")
 	}
 }
