@@ -3,10 +3,15 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-json bench-gate bench-baseline fuzz-smoke mem-smoke terasort-scale repro-quick fmt vet lint hetlint race docs ci
+.PHONY: build perfbench test bench bench-json bench-gate bench-baseline fuzz-smoke mem-smoke terasort-scale repro-quick fmt vet lint hetlint race docs ci
 
 build:
 	$(GO) build ./...
+
+# perfbench is a nested module that `go build ./...` skips; vet and
+# test it so an engine API change cannot break the benchmark unseen.
+perfbench:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 test:
 	$(GO) test ./...
@@ -104,4 +109,4 @@ hetlint:
 docs:
 	$(GO) run ./cmd/docscheck
 
-ci: fmt lint docs build race mem-smoke repro-quick bench bench-gate
+ci: fmt lint docs build perfbench race mem-smoke repro-quick bench bench-gate

@@ -55,7 +55,6 @@ func main() {
 	jt := flag.String("jt", "", "JobTracker address of a running job service (remote submission and admin)")
 	tenant := flag.String("tenant", "", "tenant to submit as against a running job service")
 	racks := flag.Int("racks", 0, "spread workers over this many racks (net, live and -serve); 0 or 1 = flat topology")
-	rangePartition := flag.Bool("range-partition", false, "route net-backend sort through the sampled range partitioner: output streams back in key order with no client-side merge")
 	listNodes := flag.Bool("list-nodes", false, "admin: print a running service's tracker and datanode membership (-nn/-jt)")
 	decommTracker := flag.String("decommission-tracker", "", "admin: drain the named TaskTracker on a running service (-jt)")
 	decommDN := flag.String("decommission-dn", "", "admin: re-replicate and retire the DataNode at this address on a running service (-nn)")
@@ -100,18 +99,17 @@ func main() {
 		spill = engine.SpillAll
 	}
 	cfg := engine.Config{
-		Workers:        *nodes,
-		Mapper:         *mapper,
-		AccelFraction:  accel,
-		Speculative:    *speculative,
-		MaxAttempts:    *maxAttempts,
-		JobTimeout:     *jobTimeout,
-		Timeline:       *timeline,
-		SpillMemBytes:  spill,
-		SpillCompress:  *spillCompress,
-		Codec:          *codec,
-		Racks:          *racks,
-		RangePartition: *rangePartition,
+		Workers:       *nodes,
+		Mapper:        *mapper,
+		AccelFraction: accel,
+		Speculative:   *speculative,
+		MaxAttempts:   *maxAttempts,
+		JobTimeout:    *jobTimeout,
+		Timeline:      *timeline,
+		SpillMemBytes: spill,
+		SpillCompress: *spillCompress,
+		Codec:         *codec,
+		Racks:         *racks,
 	}
 	if *speedHints {
 		// accel already follows the Config convention the shared

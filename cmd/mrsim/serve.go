@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"hetmr/internal/engine"
+	"hetmr/internal/kernels"
 	"hetmr/internal/netmr"
 	"hetmr/internal/rpcnet"
 	"hetmr/internal/spill"
@@ -197,18 +199,28 @@ func runRemote(nnAddr, jtAddr, tenant, wl string, blockSize int64, mb float64, s
 		if wl == "sort" {
 			inputBytes -= inputBytes % 100 // whole records
 		}
+		const reducers = 3
+		src := engine.SyntheticReader(inputBytes)
+		var sampler *kernels.RecordKeySampler
+		if wl == "sort" {
+			// The sort shuffle routes by key range: sample split keys
+			// on the staging stream, as the engine's net backend does.
+			sampler = kernels.NewRecordKeySampler(src, kernels.SplitSampleCap(reducers), uint64(engine.DefaultSeed))
+			src = sampler
+		}
 		path := fmt.Sprintf("/mrsim/%s-%d", wl, time.Now().UnixNano())
-		if _, err := tc.WriteFrom(path, engine.SyntheticReader(inputBytes), ""); err != nil {
+		if _, err := tc.WriteFrom(path, src, ""); err != nil {
 			return fmt.Errorf("staging %d input bytes: %w", inputBytes, err)
 		}
 		spec.Input = path
 		switch wl {
 		case "wc":
 			spec.Kernel = "wordcount"
-			spec.NumReducers = 3
+			spec.NumReducers = reducers
 		case "sort":
 			spec.Kernel = "sort"
-			spec.NumReducers = 3
+			spec.NumReducers = reducers
+			spec.SplitKeys = sampler.SplitKeys(reducers)
 		case "enc":
 			spec.Kernel = "aes-ctr"
 			args, err := rpcnet.Marshal(netmr.AESArgs{
@@ -228,7 +240,15 @@ func runRemote(nnAddr, jtAddr, tenant, wl string, blockSize int64, mb float64, s
 		return err
 	}
 	fmt.Printf("tenant=%s job=%d workload=%s submitted to %s\n", tenant, id, wl, jtAddr)
-	raw, err := tc.Wait(id, timeout)
+	// sort and enc stream their raw output pieces from the trackers;
+	// wc and pi return a reduced result.
+	var raw []byte
+	var written int64
+	if wl == "sort" || wl == "enc" {
+		written, err = tc.WaitOutput(id, timeout, io.Discard)
+	} else {
+		raw, err = tc.Wait(id, timeout)
+	}
 	if err != nil {
 		return err
 	}
@@ -252,11 +272,7 @@ func runRemote(nnAddr, jtAddr, tenant, wl string, blockSize int64, mb float64, s
 		}
 		fmt.Printf("  distinct words  %d\n", len(counts))
 	case "sort", "enc":
-		var out []byte
-		if err := rpcnet.Unmarshal(raw, &out); err != nil {
-			return err
-		}
-		fmt.Printf("  output          %d bytes\n", len(out))
+		fmt.Printf("  output          %d bytes\n", written)
 	}
 	return nil
 }

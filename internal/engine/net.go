@@ -172,24 +172,10 @@ func (r *netRunner) stageInput(job *Job, src io.Reader) (string, error) {
 	return name, nil
 }
 
-// rangeSampleCap sizes the reservoir for the split-key sampling pass:
-// enough keys for stable quantiles at the given reducer count, capped
-// so the sample never rivals the data.
-func rangeSampleCap(reducers int) int {
-	n := 100 * reducers
-	if n < 1_000 {
-		n = 1_000
-	}
-	if n > 100_000 {
-		n = 100_000
-	}
-	return n
-}
-
 // buildSpec validates and expands an engine job into its netmr job
-// spec, staging the dataset into the DFS for data kinds. Encrypt jobs
-// with a Sink stream their output (the pieces stay on the trackers
-// until the client pulls them).
+// spec, staging the dataset into the DFS for data kinds. A Sort with
+// more than one reducer reservoir-samples record keys on the staging
+// stream and submits the split keys its range-routed shuffle needs.
 func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 	spec := netmr.JobSpec{
 		Name:   job.title(),
@@ -201,18 +187,15 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 		src := job.inputReader()
 		reducers := r.reducers()
 		var sampler *kernels.RecordKeySampler
-		if job.Kind == Sort && r.cfg.RangePartition {
+		if job.Kind == Sort && reducers > 1 {
 			// The sampling pass rides the staging stream: ingest is read
 			// exactly once, and the reservoir costs O(sample) memory.
-			spec.StreamOutput = true
-			if reducers > 1 {
-				seed := job.Seed
-				if seed == 0 {
-					seed = DefaultSeed
-				}
-				sampler = kernels.NewRecordKeySampler(src, rangeSampleCap(reducers), uint64(seed))
-				src = sampler
+			seed := job.Seed
+			if seed == 0 {
+				seed = DefaultSeed
 			}
+			sampler = kernels.NewRecordKeySampler(src, kernels.SplitSampleCap(reducers), uint64(seed))
+			src = sampler
 		}
 		input, err := r.stageInput(job, src)
 		if err != nil {
@@ -222,8 +205,6 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 		spec.Input = input
 		spec.NumReducers = reducers
 		if sampler != nil {
-			// Quantile split keys from the reservoir; an empty input
-			// yields none, falling back to hash routing of nothing.
 			spec.SplitKeys = sampler.SplitKeys(reducers)
 		}
 	case Encrypt:
@@ -240,7 +221,6 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 		spec.Kernel = "aes-ctr"
 		spec.Input = input
 		spec.Args = args
-		spec.StreamOutput = job.Sink != nil
 	case Pi:
 		seed := job.Seed
 		if seed == 0 {
@@ -259,12 +239,11 @@ func (r *netRunner) buildSpec(job *Job) (netmr.JobSpec, error) {
 // netJob is one job submitted to the running cluster and not yet
 // collected.
 type netJob struct {
-	r        *netRunner
-	job      *Job
-	id       int64
-	input    string // staged DFS input ("" for pi, and once deleted)
-	streamed bool   // output drains from the trackers after the job ends
-	started  time.Time
+	r       *netRunner
+	job     *Job
+	id      int64
+	input   string // staged DFS input ("" for pi, and once deleted)
+	started time.Time
 	// Fetch-locality counter snapshot at submission; wait() reports
 	// the delta as the job's read-locality split.
 	local0, rack0, remote0 int64
@@ -288,17 +267,18 @@ func (r *netRunner) start(job *Job) (*netJob, error) {
 		}
 		return nil, err
 	}
-	return &netJob{r: r, job: job, id: id, input: spec.Input, streamed: spec.StreamOutput,
+	return &netJob{r: r, job: job, id: id, input: spec.Input,
 		started: time.Now(), local0: l0, rack0: rk0, remote0: rm0}, nil
 }
 
 // wait collects the job and deletes its staged input once the job is
 // terminal — done, failed or killed — so its blocks do not outlive it.
-// A streamed job is terminal before its output drains, so its input
-// goes first and the DataNodes free the blocks during the drain. A job
-// still running when the wait gives up (it timed out) keeps its input.
+// A Sort or Encrypt job streams its output from the trackers and is
+// terminal before that output drains, so its input goes first and the
+// DataNodes free the blocks during the drain. A job still running when
+// the wait gives up (it timed out) keeps its input.
 func (nj *netJob) wait() (*Result, error) {
-	if nj.streamed {
+	if k := nj.job.Kind; k == Sort || k == Encrypt {
 		if _, err := nj.r.clus.Client.Wait(nj.id, nj.r.cfg.JobTimeout); err != nil {
 			nj.dropInput(err)
 			return nil, err
@@ -346,79 +326,29 @@ func (nj *netJob) collect() (*Result, error) {
 		}
 		res.Pairs = pairsFromCounts(counts)
 		res.TaskCounts, res.Devices = st.Counts, st.Devices
-	case Sort:
-		if r.cfg.RangePartition {
-			// Range-partitioned streamed path: reduce r's output
-			// strictly precedes reduce r+1's, so the concatenated
-			// stream IS the globally sorted file — no final merge
-			// anywhere, and the client holds one bounded chunk at a
-			// time.
-			var buf bytes.Buffer
-			sink := job.Sink
-			if sink == nil {
-				sink = &buf
-			}
-			n, err := r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, sink)
-			if err != nil {
-				return nil, err
-			}
-			st, err := r.clus.Client.Status(nj.id)
-			if err != nil {
-				return nil, err
-			}
-			if job.Sink != nil {
-				res.OutputBytes = n
-			} else {
-				res.Bytes = buf.Bytes()
-			}
-			res.TaskCounts, res.Devices = st.Counts, st.Devices
-			break
+	case Sort, Encrypt:
+		// The output is the trackers' raw pieces in task order — sort's
+		// range-routed partitions concatenate in key order, aes-ctr's
+		// blocks in file order — streamed one bounded chunk at a time
+		// into the Sink, or into Result.Bytes without one. Neither the
+		// JobTracker nor a final merge ever holds the whole output.
+		var buf bytes.Buffer
+		sink := job.Sink
+		if sink == nil {
+			sink = &buf
 		}
-		raw, st, err := r.waitAndStatus(nj.id)
+		n, err := r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, sink)
 		if err != nil {
 			return nil, err
 		}
-		// The default shuffle hash-partitions records, so the globally
-		// sorted result only exists after the JobTracker's final merge
-		// — sort's Sink receives that merged result in one stream. Set
-		// Config.RangePartition for the streamed, merge-free path.
-		var merged []byte
-		if err := rpcnet.Unmarshal(raw, &merged); err != nil {
+		st, err := r.clus.Client.Status(nj.id)
+		if err != nil {
 			return nil, err
 		}
 		if job.Sink != nil {
-			n, err := job.Sink.Write(merged)
-			if err != nil {
-				return nil, err
-			}
-			res.OutputBytes = int64(n)
-		} else {
-			res.Bytes = merged
-		}
-		res.TaskCounts, res.Devices = st.Counts, st.Devices
-	case Encrypt:
-		if job.Sink != nil {
-			// Fully streamed: ciphertext blocks park on the trackers
-			// (spilling past the watermark) and flow straight to the
-			// sink — the JobTracker and client never hold the output.
-			n, err := r.clus.Client.WaitOutput(nj.id, r.cfg.JobTimeout, job.Sink)
-			if err != nil {
-				return nil, err
-			}
-			st, err := r.clus.Client.Status(nj.id)
-			if err != nil {
-				return nil, err
-			}
 			res.OutputBytes = n
-			res.TaskCounts, res.Devices = st.Counts, st.Devices
-			break
-		}
-		raw, st, err := r.waitAndStatus(nj.id)
-		if err != nil {
-			return nil, err
-		}
-		if err := rpcnet.Unmarshal(raw, &res.Bytes); err != nil {
-			return nil, err
+		} else {
+			res.Bytes = buf.Bytes()
 		}
 		res.TaskCounts, res.Devices = st.Counts, st.Devices
 	case Pi:

@@ -131,13 +131,12 @@ type Config struct {
 	// scheduler prefers rack-local over remote grants. 0 or 1 keeps the
 	// flat single-rack topology (the default); negative is an error.
 	Racks int
-	// RangePartition routes net-backend Sort jobs through the sampled
-	// range partitioner: a reservoir-sampling pass over ingest cuts
-	// per-job split keys, reducers own contiguous key ranges, and the
-	// streamed reduce outputs concatenate in key order — the globally
-	// sorted file with zero post-reduce merge, at O(chunk) client
-	// memory. Results are bit-identical to the hash-partitioned path.
-	// The other backends sort fully in-process and ignore the knob.
+	// RangePartition has no effect: every net Sort now samples split
+	// keys during ingest and streams its range-routed partitions.
+	//
+	// Deprecated: nothing reads it; it remains only so callers that
+	// still set it keep compiling.
+	//hetlint:configdrop-ok * Config.RangePartition inert since every net sort is range-routed and streamed
 	RangePartition bool
 }
 

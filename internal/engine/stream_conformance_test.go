@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hetmr/internal/kernels"
+	"hetmr/internal/netmr"
 )
 
 // The streaming conformance suite: the same job fed through Job.Source
@@ -187,5 +188,43 @@ func TestSinkRejectedForNonByteKinds(t *testing.T) {
 	}
 	if _, err := r.Run(&Job{Kind: Pi, Samples: 100, Sink: &sink}); err == nil {
 		t.Fatal("pi with a Sink accepted")
+	}
+}
+
+// TestNetJobTrackerCarriesNoOutputBytes pins where a byte job's output
+// travels on the net backend: a Sort and an Encrypt of over 1 MB, run
+// without a Sink, return Result.Bytes bit-identical to live while not
+// one output byte crosses the JobTracker's heartbeat channel — the raw
+// pieces stream from the trackers' stores to the client.
+func TestNetJobTrackerCarriesNoOutputBytes(t *testing.T) {
+	const records = 11_000 // 1.1 MB of sort records
+	input := kernels.GenerateSortRecords(2009, records)
+	cfg := Config{Workers: 3, BlockSize: 100_000, Reducers: 4}
+	r, err := New("net", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	jt := r.(interface{ Cluster() *netmr.Cluster }).Cluster().JT
+	for _, job := range []*Job{
+		{Kind: Sort, Input: input},
+		{Kind: Encrypt, Input: input, Key: []byte("conformance-key!"), IV: []byte("conformance-iv!!")},
+	} {
+		ref, ok := runOnConfig(t, "live", cfg, job)
+		if !ok {
+			t.Fatalf("live cannot run %s", job.Kind)
+		}
+		before := jt.DataPlaneBytes()
+		res, err := r.Run(job)
+		if err != nil {
+			t.Fatalf("net %s: %v", job.Kind, err)
+		}
+		if moved := jt.DataPlaneBytes() - before; moved != 0 {
+			t.Errorf("net %s moved %d output bytes through the JobTracker for a %d-byte input, want 0",
+				job.Kind, moved, len(input))
+		}
+		if !bytes.Equal(res.Bytes, ref.Bytes) {
+			t.Errorf("net %s Result.Bytes (%d) differ from live (%d)", job.Kind, len(res.Bytes), len(ref.Bytes))
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package kernels implements the paper's application kernels from
 // scratch: AES-128 encryption (the data-intensive workload, paper
 // §IV-A), a Monte Carlo Pi estimator (the CPU-intensive workload,
-// §IV-B), and the word-count/grep kernels used by the extra examples.
+// §IV-B), and the word-count kernel used by the extra examples.
 //
 // The AES implementation follows FIPS-197 directly. Its S-box and
 // field arithmetic are computed, not transcribed, and the whole cipher

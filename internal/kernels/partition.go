@@ -2,26 +2,17 @@ package kernels
 
 // The shuffle partition hash — FNV-1a — lives here once, shared by the
 // live runner's in-process partitioned shuffle (internal/core) and the
-// distributed runtime's shuffle plane (internal/netmr), so the two
-// backends can never silently diverge on where a key routes.
+// distributed runtime's wordcount shuffle (internal/netmr), so the two
+// backends can never silently diverge on where a word routes. Sort
+// records route by key range instead (rangepart.go).
 
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// PartitionIndex maps a key to one of parts partitions.
-func PartitionIndex(key []byte, parts int) int {
-	h := uint64(fnvOffset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return int(h % uint64(parts))
-}
-
-// PartitionIndexString is PartitionIndex for string keys, avoiding the
-// []byte conversion on the live shuffle's hot path.
+// PartitionIndexString maps a string key to one of parts partitions
+// (FNV-1a modulo parts).
 func PartitionIndexString(key string, parts int) int {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {

@@ -4,9 +4,9 @@ package kernels
 // merge disappear: a reservoir sample of the input keys picks R-1
 // split keys, every record routes to the partition whose key range
 // covers it, and the sorted partitions concatenate in key order —
-// reduce r's output strictly precedes reduce r+1's. This lives next to
-// PartitionIndex so both partitioning strategies share one home and
-// the backends can never diverge on where a key routes.
+// reduce r's output strictly precedes reduce r+1's. It is the only
+// route sort records take on the net backend; the live backend sorts
+// in-process and needs none.
 
 import (
 	"bytes"
@@ -66,6 +66,13 @@ func SplitKeysFromSample(sample [][]byte, parts int) [][]byte {
 		splits[i-1] = append([]byte(nil), sorted[q]...)
 	}
 	return splits
+}
+
+// SplitSampleCap sizes a RecordKeySampler's reservoir for cutting
+// split keys into parts partitions: enough keys for stable quantiles,
+// capped so the sample never rivals the data.
+func SplitSampleCap(parts int) int {
+	return min(max(100*parts, 1_000), 100_000)
 }
 
 // RecordKeySampler is an io.Reader that passes a stream of 100-byte

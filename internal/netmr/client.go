@@ -352,8 +352,8 @@ func (c *Client) ListJobs(tenant string) ([]JobInfo, error) {
 // hung JobTracker surfaces as polling failures instead of blocking the
 // client past its deadline. It matches dataCallTimeout: a Status reply
 // carries the full job Result once done, which can be as large as a
-// sort's whole output — the cap must cover a real transfer, and the
-// overall Wait deadline (which always clamps the per-call timeout)
+// wordcount's whole table — the cap must cover a real transfer, and
+// the overall Wait deadline (which always clamps the per-call timeout)
 // stays the real bound against a hang.
 const waitCallTimeout = dataCallTimeout
 
@@ -363,6 +363,10 @@ const waitCallTimeout = dataCallTimeout
 // as soon as the JobTracker reports it. Every Status RPC runs under a
 // per-call timeout clamped to the remaining deadline: a JobTracker
 // that hangs mid-call cannot block Wait beyond its deadline.
+//
+// A streamed job (sort, aes-ctr) has no reduced result: Wait returns
+// nil once it is done, and its output stays on the trackers until
+// WaitOutput drains it or the job is released or killed.
 func (c *Client) Wait(jobID int64, timeout time.Duration) ([]byte, error) {
 	st, err := c.waitDone(jobID, timeout)
 	if err != nil {
@@ -434,14 +438,16 @@ func (c *Client) waitDone(jobID int64, timeout time.Duration) (StatusReply, erro
 // client memory no matter how large the result is.
 const outputChunkBytes = 1 << 20
 
-// WaitOutput polls a StreamOutput job to completion, then streams its
-// stored result pieces — fetched in task order straight from the
-// worker trackers' shuffle stores — into w, and releases the job so
-// the stores can free the space. The trackers store the pieces as raw
-// result bytes (the kernel's RawOutput hook), pulled here in bounded
-// chunks, so the client's peak memory is O(chunk) regardless of output
-// size. The JobTracker never touches the output bytes. Returns the
-// bytes written to w.
+// WaitOutput polls a streamed job (sort, aes-ctr: kernels without
+// Reduce) to completion, then streams its stored result pieces —
+// fetched in task order straight from the worker trackers' shuffle
+// stores — into w, and releases the job so the stores can free the
+// space. The pieces are raw result bytes: aes-ctr's ciphertext blocks
+// in block order, sort's range-routed partitions in key order, so w
+// receives the whole result. They are pulled in bounded chunks, so the
+// client's peak memory is O(chunk) regardless of output size. The
+// JobTracker never touches the output bytes. Returns the bytes written
+// to w.
 func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (int64, error) {
 	st, err := c.waitDone(jobID, timeout)
 	if err != nil {
@@ -454,7 +460,7 @@ func (c *Client) WaitOutput(jobID int64, timeout time.Duration, w io.Writer) (in
 	// space, never correctness.
 	defer c.Release(jobID)
 	if len(st.Outputs) == 0 {
-		return 0, fmt.Errorf("netmr: job %d reported no streamed outputs (submit with StreamOutput for a data job)", jobID)
+		return 0, fmt.Errorf("netmr: job %d reported no streamed outputs (only kernels without Reduce stream)", jobID)
 	}
 	var total int64
 	for _, ref := range st.Outputs {

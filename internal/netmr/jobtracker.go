@@ -33,10 +33,10 @@ type jobRecord struct {
 	spec    JobSpec
 	kern    MapKernel
 	shuffle bool // distributed shuffle/reduce plane on
-	// streamOut: final-phase outputs stay in the worker trackers'
-	// shuffle stores; outLoc records each piece's address, Status
-	// serves the refs, and the stores free them only after the client
-	// Releases the job.
+	// streamOut: the kernel has no Reduce (MapKernel.streams), so
+	// final-phase outputs stay in the worker trackers' shuffle stores;
+	// outLoc records each piece's address, Status serves the refs, and
+	// the stores free them only after the client Releases the job.
 	streamOut bool
 	outLoc    []string
 	released  bool
@@ -494,32 +494,8 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Streamed pieces are stored raw and pulled in chunks, which takes
-	// the kernel's RawOutput hook.
-	if args.Spec.StreamOutput && kern.RawOutput == nil {
-		return nil, fmt.Errorf("netmr: job %q: kernel %q cannot stream its output",
-			args.Spec.Name, args.Spec.Kernel)
-	}
-	// API-boundary validation: a negative reduce count would otherwise
-	// surface as a partition-hash divide-by-zero deep inside a mapper.
-	if args.Spec.NumReducers < 0 {
-		return nil, fmt.Errorf("netmr: job %q: NumReducers must be >= 0, got %d",
-			args.Spec.Name, args.Spec.NumReducers)
-	}
-	// Range partitioning: exactly NumReducers-1 sorted split keys, or
-	// none at all (hash partitioning). A mismatch caught here would
-	// otherwise surface as a per-mapper partition-count error after the
-	// job already holds scheduler state.
-	if n := len(args.Spec.SplitKeys); n > 0 {
-		if n != args.Spec.NumReducers-1 {
-			return nil, fmt.Errorf("netmr: job %q: %d split keys for %d reducers (want NumReducers-1)",
-				args.Spec.Name, n, args.Spec.NumReducers)
-		}
-		for i := 1; i < n; i++ {
-			if bytes.Compare(args.Spec.SplitKeys[i-1], args.Spec.SplitKeys[i]) > 0 {
-				return nil, fmt.Errorf("netmr: job %q: split keys are not sorted", args.Spec.Name)
-			}
-		}
+	if err := checkShape(args.Spec, kern); err != nil {
+		return nil, err
 	}
 	mapper := args.Spec.Mapper
 	if mapper == "" {
@@ -591,17 +567,13 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 	rec.mapBoard = mapBoard
 	rec.shuffle = args.Spec.NumReducers > 0 && args.Spec.Input != "" &&
 		kern.Partition != nil && kern.Merge != nil
-	// Streamed results apply to data jobs only: compute jobs (pi)
-	// reduce to a handful of bytes that ride the heartbeat anyway.
-	rec.streamOut = args.Spec.StreamOutput && args.Spec.Input != ""
+	rec.streamOut = kern.streams()
 	for _, t := range tasks {
 		t.JobID = id
 		t.Mapper = mapper
 		if rec.shuffle {
 			t.NumParts = args.Spec.NumReducers
 			t.SplitKeys = args.Spec.SplitKeys
-		} else if rec.streamOut {
-			t.StreamOutput = true
 		}
 		rec.maps = append(rec.maps, t)
 	}
@@ -620,13 +592,12 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 		rec.fetchFails = make(map[string]int)
 		for p := 0; p < r; p++ {
 			rec.reduces = append(rec.reduces, Task{
-				JobID:        id,
-				TaskID:       p,
-				Kernel:       args.Spec.Kernel,
-				Args:         args.Spec.Args,
-				Reduce:       true,
-				Mapper:       mapper,
-				StreamOutput: rec.streamOut,
+				JobID:  id,
+				TaskID: p,
+				Kernel: args.Spec.Kernel,
+				Args:   args.Spec.Args,
+				Reduce: true,
+				Mapper: mapper,
 			})
 		}
 		if rec.streamOut {
@@ -641,6 +612,52 @@ func (jt *JobTracker) handleSubmit(body []byte) (any, error) {
 		ts.jobs = append(ts.jobs, id)
 	}
 	return SubmitReply{JobID: id}, nil
+}
+
+// checkShape rejects, before any job state exists, each spec whose
+// output would be wrong or missing. A kernel without Reduce streams
+// its final-phase pieces in task order (MapKernel.streams), so it needs
+// an input file to have pieces, and when it shuffles, its partitions
+// must be the key ranges of exactly NumReducers-1 sorted split keys —
+// any other routing would concatenate out of order. A kernel without
+// Map runs only on the shuffle path. Hash-routed kernels take no split
+// keys.
+func checkShape(spec JobSpec, kern MapKernel) error {
+	// A negative reduce count would otherwise surface as a partition
+	// divide-by-zero deep inside a mapper.
+	if spec.NumReducers < 0 {
+		return fmt.Errorf("netmr: job %q: NumReducers must be >= 0, got %d",
+			spec.Name, spec.NumReducers)
+	}
+	if kern.streams() && spec.Input == "" {
+		return fmt.Errorf("netmr: job %q: kernel %q streams its output from an input file; Input is empty",
+			spec.Name, spec.Kernel)
+	}
+	if kern.Map == nil && spec.NumReducers == 0 {
+		return fmt.Errorf("netmr: job %q: kernel %q runs only on the shuffle path; NumReducers must be > 0",
+			spec.Name, spec.Kernel)
+	}
+	ranged := kern.streams() && kern.Partition != nil && spec.NumReducers > 0
+	n := len(spec.SplitKeys)
+	if !ranged {
+		if n > 0 {
+			return fmt.Errorf("netmr: job %q: kernel %q does not route by split keys", spec.Name, spec.Kernel)
+		}
+		return nil
+	}
+	// A mismatch caught here would otherwise surface as a per-mapper
+	// partition-count error after the job already holds scheduler
+	// state.
+	if n != spec.NumReducers-1 {
+		return fmt.Errorf("netmr: job %q: %d split keys for %d reducers (want NumReducers-1)",
+			spec.Name, n, spec.NumReducers)
+	}
+	for i := 1; i < n; i++ {
+		if bytes.Compare(spec.SplitKeys[i-1], spec.SplitKeys[i]) > 0 {
+			return fmt.Errorf("netmr: job %q: split keys are not sorted", spec.Name)
+		}
+	}
+	return nil
 }
 
 // expand turns a job spec into map tasks: one per input block for data
@@ -747,8 +764,8 @@ func (jt *JobTracker) handleHeartbeat(body []byte) (any, error) {
 	// The kernel's Reduce runs outside jt.mu (it may be arbitrarily
 	// expensive), and its error becomes the job's terminal error in
 	// StatusReply instead of leaking to an arbitrary heartbeating
-	// tracker. Streamed-output jobs skip the fold entirely: their
-	// result is the set of stored pieces, already in place.
+	// tracker. Streamed-output jobs have no fold: their result is the
+	// set of stored pieces, already in place.
 	for _, rec := range jt.jobs {
 		if rec.done || rec.finalizing || rec.failed != "" {
 			continue

@@ -2,31 +2,42 @@ package netmr
 
 import (
 	"fmt"
-	"sort"
 
 	"hetmr/internal/kernels"
 	"hetmr/internal/rpcnet"
 )
 
 // MapKernel is a named, registered computation the TaskTrackers can
-// run. Map consumes one task's input (block data, or samples for
-// compute kernels) and returns a gob-encoded partial result; Reduce
-// folds the partials, ordered by task ID, into the job result.
+// run. A kernel's output takes one of two shapes, fixed by whether it
+// has a Reduce:
 //
-// Kernels with large intermediate output additionally implement the
-// distributed shuffle pair: Partition runs map-side and splits the
-// task's output into R key-hashed partitions held in the tracker's
-// shuffle store; Merge runs as a reduce task and folds the per-mapper
-// pieces of one partition (ordered by map task ID) into that
-// partition's output, which must itself be a valid Reduce partial.
+//   - With Reduce (wordcount, pi): Map consumes one task's input (block
+//     data, or samples for compute kernels) and returns a gob-encoded
+//     partial; the partials ride the heartbeats and Reduce folds them,
+//     ordered by task ID, into the job result at the JobTracker.
+//   - Without Reduce (sort, aes-ctr): the job's output is its raw
+//     final-phase pieces. Each stays in its tracker's shuffle store,
+//     and Client.WaitOutput streams them to the client in task order,
+//     so the pieces must concatenate into the result: aes-ctr's map
+//     outputs in block order, sort's range-routed partitions in key
+//     order. The JobTracker never holds these output bytes.
+//
+// Kernels with large intermediate output implement the distributed
+// shuffle pair: Partition runs map-side and splits the task's output
+// into R partitions held in the tracker's shuffle store; Merge runs as
+// a reduce task and folds the per-mapper pieces of one partition
+// (ordered by map task ID) into that partition's output — a Reduce
+// partial when the kernel has Reduce, a raw output piece otherwise.
 // With both set and JobSpec.NumReducers > 0, map output bytes never
-// cross the JobTracker — only the R merged reduce outputs do.
+// cross the JobTracker.
 type MapKernel struct {
-	// Map runs on the TaskTracker. data is nil for compute tasks.
+	// Map runs on the TaskTracker. data is nil for compute tasks. A
+	// kernel without Map (sort) runs only on the shuffle path.
 	Map func(task Task, data []byte) ([]byte, error)
 	// Reduce runs on the JobTracker when all tasks are done: over the
 	// map outputs on the centralized path, over the reduce-task
-	// outputs (ordered by partition) on the shuffle path.
+	// outputs (ordered by partition) on the shuffle path. Nil makes
+	// the kernel's output the streamed raw pieces (see above).
 	Reduce func(partials [][]byte) ([]byte, error)
 	// Partition runs on the TaskTracker instead of Map when the
 	// distributed shuffle is on: it returns exactly parts payloads,
@@ -44,14 +55,11 @@ type MapKernel struct {
 	// AccelPartition is Partition's accelerated variant under the same
 	// contract.
 	AccelPartition func(dev *AccelDevice, task Task, data []byte, parts int) ([][]byte, error)
-	// RawOutput, when set, unwraps a final-phase task's encoded output
-	// into the raw result bytes before it is parked in the shuffle
-	// store (StreamOutput tasks only). Stored raw, a streamed piece
-	// can be fetched in bounded chunks and written straight to the
-	// client's sink — the flat-heap output path. Only kernels with the
-	// hook may stream: Submit rejects StreamOutput without it.
-	RawOutput func(encoded []byte) ([]byte, error)
 }
+
+// streams reports whether the kernel's output is its streamed raw
+// pieces rather than a Reduce result.
+func (k MapKernel) streams() bool { return k.Reduce == nil }
 
 // kernelRegistry holds the built-in kernels; RegisterKernel extends it
 // (must happen before daemons start — the registry is read-only at
@@ -103,18 +111,6 @@ type PiResult struct {
 }
 
 func init() {
-	// unwrapRaw is the RawOutput hook for kernels whose task encoding
-	// is one gob byte slice: aes-ctr map outputs and sort reduce
-	// outputs unwrap to the raw result bytes before being parked, so
-	// the client can stream them chunk by chunk.
-	unwrapRaw := func(encoded []byte) ([]byte, error) {
-		var raw []byte
-		if err := rpcnet.Unmarshal(encoded, &raw); err != nil {
-			return nil, err
-		}
-		return raw, nil
-	}
-
 	// mergeWordCounts folds wordCountPartial payloads into one table.
 	mergeWordCounts := func(pieces [][]byte) (map[string]int64, error) {
 		total := make(map[string]int64)
@@ -206,7 +202,7 @@ func init() {
 			out := make([]byte, len(data))
 			offset := int64(task.TaskID) * args.BlockBytes
 			kernels.CTRStreamFast(c, args.IV, offset, out, data)
-			return rpcnet.Marshal(out)
+			return out, nil
 		},
 		// Accelerated variant: the same seekable CTR stream, 4 KB
 		// blocks double-buffered through the SPE local stores.
@@ -219,26 +215,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			out, err := dev.CTRStream(c, args.IV, int64(task.TaskID)*args.BlockBytes, data)
-			if err != nil {
-				return nil, err
-			}
-			return rpcnet.Marshal(out)
+			return dev.CTRStream(c, args.IV, int64(task.TaskID)*args.BlockBytes, data)
 		},
-		Reduce: func(partials [][]byte) ([]byte, error) {
-			// Partials arrive in task order: concatenate into the
-			// whole ciphertext.
-			var whole []byte
-			for _, p := range partials {
-				var chunk []byte
-				if err := rpcnet.Unmarshal(p, &chunk); err != nil {
-					return nil, err
-				}
-				whole = append(whole, chunk...)
-			}
-			return rpcnet.Marshal(whole)
-		},
-		RawOutput: unwrapRaw,
 	})
 
 	RegisterKernel("pi", MapKernel{
@@ -274,108 +252,39 @@ func init() {
 		},
 	})
 
-	// mergeSortRuns folds gob-encoded sorted runs into one sorted run.
-	mergeSortRuns := func(pieces [][]byte) ([]byte, error) {
-		runs := make([][]byte, len(pieces))
-		for i, p := range pieces {
-			if err := rpcnet.Unmarshal(p, &runs[i]); err != nil {
-				return nil, err
-			}
-		}
-		return kernels.MergeSortedRuns(runs)
-	}
-
 	RegisterKernel("sort", MapKernel{
-		// TeraSort shape: sort each block's 100-byte records where
-		// they live, merge the sorted runs at the JobTracker. The
-		// submitter must pick a DFS block size that is a multiple of
-		// the record size.
-		Map: func(_ Task, data []byte) ([]byte, error) {
-			run := append([]byte(nil), data...)
-			if err := kernels.SortRecords(run); err != nil {
-				return nil, err
-			}
-			return rpcnet.Marshal(run)
-		},
-		Reduce: func(partials [][]byte) ([]byte, error) {
-			merged, err := mergeSortRuns(partials)
-			if err != nil {
-				return nil, err
-			}
-			return rpcnet.Marshal(merged)
-		},
-		// Shuffle path: records route to partitions by key hash — or,
-		// when the task carries SplitKeys, by range
-		// (kernels.RangePartitioner). Either way equal keys meet in
-		// one reduce task, so both routes reproduce the centralized
-		// order bit for bit; the range route additionally makes the
-		// partitions themselves key-ordered, so a StreamOutput job's
-		// pieces concatenate globally sorted with no final merge.
+		// TeraSort shape: each map task sorts its block's 100-byte
+		// records where they live and cuts the sorted run at the job's
+		// split keys (kernels.RangePartitioner; no keys is one
+		// partition). The router is monotone in key order, so every
+		// partition is one contiguous slice of the run, and equal keys
+		// meet in one reduce task. Merge folds a partition's runs into
+		// one; partition p's keys all precede partition p+1's, so the
+		// streamed reduce outputs concatenate into the globally sorted
+		// file with no final merge. Payloads are raw record runs. The
+		// submitter must pick a DFS block size that is a multiple of the
+		// record size.
 		Partition: func(task Task, data []byte, parts int) ([][]byte, error) {
+			rp := kernels.NewRangePartitioner(task.SplitKeys)
+			if rp.Parts() != parts {
+				return nil, fmt.Errorf("netmr: %d split keys for %d partitions", len(task.SplitKeys), parts)
+			}
 			run := append([]byte(nil), data...)
 			if err := kernels.SortRecords(run); err != nil {
 				return nil, err
-			}
-			index := func(key []byte) int { return kernels.PartitionIndex(key, parts) }
-			if len(task.SplitKeys) > 0 {
-				rp := kernels.NewRangePartitioner(task.SplitKeys)
-				if rp.Parts() != parts {
-					return nil, fmt.Errorf("netmr: %d split keys for %d partitions", len(task.SplitKeys), parts)
-				}
-				index = rp.Index
-			}
-			split := make([][]byte, parts)
-			for p := range split {
-				split[p] = []byte{} // empty partitions still ship a run
-			}
-			for off := 0; off < len(run); off += kernels.SortRecordBytes {
-				rec := run[off : off+kernels.SortRecordBytes]
-				p := index(rec[:kernels.SortKeyBytes])
-				split[p] = append(split[p], rec...)
 			}
 			out := make([][]byte, parts)
-			for p := range split {
-				payload, err := rpcnet.Marshal(split[p])
-				if err != nil {
-					return nil, err
+			lo := 0
+			for p := range out {
+				hi := lo
+				for hi < len(run) && rp.Index(run[hi:hi+kernels.SortKeyBytes]) == p {
+					hi += kernels.SortRecordBytes
 				}
-				out[p] = payload
+				out[p] = run[lo:hi]
+				lo = hi
 			}
 			return out, nil
 		},
-		Merge: func(pieces [][]byte) ([]byte, error) {
-			merged, err := mergeSortRuns(pieces)
-			if err != nil {
-				return nil, err
-			}
-			return rpcnet.Marshal(merged)
-		},
-		RawOutput: unwrapRaw,
-	})
-
-	RegisterKernel("grep", MapKernel{
-		Map: func(task Task, data []byte) ([]byte, error) {
-			var pattern []byte
-			if err := rpcnet.Unmarshal(task.Args, &pattern); err != nil {
-				return nil, err
-			}
-			var matches []string
-			kernels.GrepLines(data, pattern, func(_ int, line []byte) {
-				matches = append(matches, string(line))
-			})
-			return rpcnet.Marshal(matches)
-		},
-		Reduce: func(partials [][]byte) ([]byte, error) {
-			var all []string
-			for _, p := range partials {
-				var m []string
-				if err := rpcnet.Unmarshal(p, &m); err != nil {
-					return nil, err
-				}
-				all = append(all, m...)
-			}
-			sort.Strings(all)
-			return rpcnet.Marshal(all)
-		},
+		Merge: kernels.MergeSortedRuns,
 	})
 }

@@ -129,18 +129,14 @@ func TestDecommissionWorkerMidJobBitIdentical(t *testing.T) {
 	if got := len(c.TTs); got != 2 {
 		t.Errorf("roster holds %d trackers after decommission, want 2", got)
 	}
-	result, err := c.Client.Wait(id, 15*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cipherText []byte
-	if err := rpcnet.Unmarshal(result, &cipherText); err != nil {
+	var cipherText bytes.Buffer
+	if _, err := c.Client.WaitOutput(id, 15*time.Second, &cipherText); err != nil {
 		t.Fatal(err)
 	}
 	cip, _ := kernels.NewCipher(key)
 	want := make([]byte, len(plain))
 	kernels.CTRStream(cip, iv, 0, want, plain)
-	if !bytes.Equal(cipherText, want) {
+	if !bytes.Equal(cipherText.Bytes(), want) {
 		t.Fatal("output across a mid-job decommission differs from sequential reference")
 	}
 	if state := trackerStateOf(c.JT, "tracker-2"); state == NodeAlive {
@@ -281,11 +277,9 @@ func TestRackLocalityPreferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Client.SubmitAndWait(JobSpec{
+	submitOutput(t, c.Client, JobSpec{
 		Name: "rack-enc", Kernel: "aes-ctr", Input: "/rackdata", Args: args,
-	}, 15*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	}, 15*time.Second)
 	local, rack, remote := c.FetchTotals()
 	t.Logf("fetches: local=%d rack=%d remote=%d", local, rack, remote)
 	if local+rack+remote == 0 {

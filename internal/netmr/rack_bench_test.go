@@ -1,6 +1,7 @@
 package netmr
 
 import (
+	"io"
 	"testing"
 	"time"
 
@@ -48,9 +49,13 @@ func BenchmarkRackLocality(b *testing.B) {
 					c.Shutdown()
 					b.Fatal(err)
 				}
-				if _, err := c.Client.SubmitAndWait(JobSpec{
+				id, err := c.Client.Submit(JobSpec{
 					Name: "rack-bench", Kernel: "aes-ctr", Input: "/rack-bench", Args: args,
-				}, 2*time.Minute); err != nil {
+				})
+				if err == nil {
+					_, err = c.Client.WaitOutput(id, 2*time.Minute, io.Discard)
+				}
+				if err != nil {
 					c.Shutdown()
 					b.Fatal(err)
 				}

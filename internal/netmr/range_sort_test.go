@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hetmr/internal/kernels"
-	"hetmr/internal/rpcnet"
 )
 
 // splitKeysFor samples every key in data and cuts parts-1 quantile
@@ -25,11 +24,11 @@ func splitKeysFor(t *testing.T, data []byte, parts int) [][]byte {
 	return keys
 }
 
-// TestRangePartitionedSortStreamsInOrder pins the tentpole invariant:
+// TestRangePartitionedSortStreamsInOrder pins the sort invariant:
 // with range partitioning, reduce r's streamed output strictly
 // precedes reduce r+1's, so the plain WaitOutput concatenation is the
-// globally sorted file — bit-identical to the hash-partitioned inline
-// sort, with zero post-reduce merge.
+// globally sorted file — bit-identical to a local sort, with zero
+// post-reduce merge.
 func TestRangePartitionedSortStreamsInOrder(t *testing.T) {
 	c, err := StartCluster(3, 2, 2_000, 10*time.Millisecond)
 	if err != nil {
@@ -40,35 +39,17 @@ func TestRangePartitionedSortStreamsInOrder(t *testing.T) {
 	if err := c.Client.WriteFile("/records", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	// Hash-partitioned inline job: the reference output (merged by the
-	// JobTracker's final Reduce).
-	raw, err := c.Client.SubmitAndWait(JobSpec{
-		Name: "sort-hash", Kernel: "sort", Input: "/records", NumReducers: 4,
-	}, 30*time.Second)
-	if err != nil {
+	want := append([]byte(nil), data...)
+	if err := kernels.SortRecords(want); err != nil {
 		t.Fatal(err)
 	}
-	var want []byte
-	if err := rpcnet.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.Client.Submit(JobSpec{
+	got := submitOutput(t, c.Client, JobSpec{
 		Name: "sort-range", Kernel: "sort", Input: "/records", NumReducers: 4,
-		SplitKeys: splitKeysFor(t, data, 4), StreamOutput: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	n, err := c.Client.WaitOutput(id, 30*time.Second, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(want)) {
-		t.Fatalf("streamed %d bytes, reference has %d", n, len(want))
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("range-partitioned concatenation differs from the hash-sorted reference")
+		SplitKeys: splitKeysFor(t, data, 4),
+	}, 30*time.Second)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("range-partitioned concatenation (%d bytes) differs from the local sort (%d bytes)",
+			len(got), len(want))
 	}
 }
 
@@ -114,16 +95,10 @@ func TestFetchWindowBoundsOutstanding(t *testing.T) {
 	if err := c.Client.WriteFile("/records", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := c.Client.SubmitAndWait(JobSpec{
+	sorted := submitOutput(t, c.Client, JobSpec{
 		Name: "sort-windowed", Kernel: "sort", Input: "/records", NumReducers: 4,
+		SplitKeys: splitKeysFor(t, data, 4),
 	}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sorted []byte
-	if err := rpcnet.Unmarshal(raw, &sorted); err != nil {
-		t.Fatal(err)
-	}
 	if len(sorted) != len(data) {
 		t.Fatalf("sorted %d bytes of %d", len(sorted), len(data))
 	}

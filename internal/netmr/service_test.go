@@ -226,7 +226,7 @@ func TestServiceSpillQuotaAndKillRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, err := erin.Submit(JobSpec{
-		Name: "enc", Kernel: "aes-ctr", Input: "/plain", Args: args, StreamOutput: true,
+		Name: "enc", Kernel: "aes-ctr", Input: "/plain", Args: args,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -93,8 +93,15 @@ func TestDistributedShuffleHeartbeatStaysMetadataSized(t *testing.T) {
 	}
 }
 
+// TestDistributedShuffleSortMatchesCentralized runs the sort through
+// one reducer (no split keys: every record meets in one merge) and
+// through three key ranges, and holds both to a local sort.
 func TestDistributedShuffleSortMatchesCentralized(t *testing.T) {
 	input := kernels.GenerateSortRecords(2009, 2000) // 200 KB
+	want := append([]byte(nil), input...)
+	if err := kernels.SortRecords(want); err != nil {
+		t.Fatal(err)
+	}
 	run := func(reducers int) []byte {
 		c, err := StartCluster(3, 2, 5000, 10*time.Millisecond)
 		if err != nil {
@@ -104,21 +111,21 @@ func TestDistributedShuffleSortMatchesCentralized(t *testing.T) {
 		if err := c.Client.WriteFile("/records", input, ""); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := c.Client.SubmitAndWait(JobSpec{
+		var keys [][]byte
+		if reducers > 1 {
+			keys = splitKeysFor(t, input, reducers)
+		}
+		return submitOutput(t, c.Client, JobSpec{
 			Name: "sort", Kernel: "sort", Input: "/records", NumReducers: reducers,
+			SplitKeys: keys,
 		}, 30*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []byte
-		if err := rpcnet.Unmarshal(raw, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
 	}
-	central := run(0)
+	central := run(1)
 	dist := run(3)
-	if !bytes.Equal(central, dist) {
+	if !bytes.Equal(central, want) {
+		t.Fatal("single-reducer sort differs from the local sort")
+	}
+	if !bytes.Equal(dist, want) {
 		t.Fatal("distributed shuffle changed the sort output")
 	}
 	if sorted, err := kernels.RecordsSorted(dist); err != nil || !sorted {

@@ -45,11 +45,29 @@ func TestWriteFromStreams(t *testing.T) {
 	}
 }
 
-// TestStreamOutputEncrypt runs the same AES job with the result inline
-// and streamed, and checks (a) bit-identical ciphertext, (b) the
-// streamed run kept output bytes off the JobTracker's heartbeat
-// channel, and (c) the stores free the pieces after the client's
-// release.
+// submitOutput submits a streamed job (sort, aes-ctr) and drains its
+// output into memory through WaitOutput.
+func submitOutput(tb testing.TB, c *Client, spec JobSpec, timeout time.Duration) []byte {
+	tb.Helper()
+	id, err := c.Submit(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out bytes.Buffer
+	n, err := c.WaitOutput(id, timeout, &out)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n != int64(out.Len()) {
+		tb.Fatalf("WaitOutput reported %d bytes, wrote %d", n, out.Len())
+	}
+	return out.Bytes()
+}
+
+// TestStreamOutputEncrypt streams an AES job's ciphertext and checks
+// (a) it is bit-identical to a local CTR pass, (b) no output byte rode
+// the JobTracker's heartbeat channel, and (c) the stores free the
+// pieces after the client's release.
 func TestStreamOutputEncrypt(t *testing.T) {
 	const blockSize = 1_000
 	c, err := StartCluster(3, 2, blockSize, 10*time.Millisecond,
@@ -62,47 +80,26 @@ func TestStreamOutputEncrypt(t *testing.T) {
 	if err := c.Client.WriteFile("/plain", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	args, err := rpcnet.Marshal(AESArgs{
-		Key: []byte("stream-test-key!"), IV: make([]byte, 16), BlockBytes: blockSize,
-	})
+	key, iv := []byte("stream-test-key!"), make([]byte, 16)
+	args, err := rpcnet.Marshal(AESArgs{Key: key, IV: iv, BlockBytes: blockSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: inline result.
-	raw, err := c.Client.SubmitAndWait(JobSpec{
-		Name: "enc-inline", Kernel: "aes-ctr", Input: "/plain", Args: args,
-	}, 30*time.Second)
+	cip, err := kernels.NewCipher(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []byte
-	if err := rpcnet.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	inlineBytes := c.JT.DataPlaneBytes()
+	want := make([]byte, len(data))
+	kernels.CTRStreamFast(cip, iv, 0, want, data)
 
-	// Streamed result.
-	id, err := c.Client.Submit(JobSpec{
+	got := submitOutput(t, c.Client, JobSpec{
 		Name: "enc-stream", Kernel: "aes-ctr", Input: "/plain", Args: args,
-		StreamOutput: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	}, 30*time.Second)
+	if !bytes.Equal(got, want) {
+		t.Fatal("streamed ciphertext differs from the local CTR reference")
 	}
-	var got bytes.Buffer
-	n, err := c.Client.WaitOutput(id, 30*time.Second, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(want)) {
-		t.Fatalf("streamed %d bytes, want %d", n, len(want))
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("streamed ciphertext differs from the inline result")
-	}
-	streamBytes := c.JT.DataPlaneBytes() - inlineBytes
-	if streamBytes != 0 {
-		t.Fatalf("streamed run moved %d output bytes over the heartbeat channel, want 0", streamBytes)
+	if moved := c.JT.DataPlaneBytes(); moved != 0 {
+		t.Fatalf("streamed run moved %d output bytes over the heartbeat channel, want 0", moved)
 	}
 	// The release negotiated over heartbeats frees every store.
 	deadline := time.Now().Add(5 * time.Second)
@@ -123,8 +120,9 @@ func TestStreamOutputEncrypt(t *testing.T) {
 }
 
 // TestStreamOutputSortShufflePath streams a distributed-shuffle sort's
-// reduce outputs and checks the concatenated partitions match the
-// inline shuffle result bit for bit.
+// reduce outputs under a SpillAll watermark — every shuffle partition
+// and streamed piece is served from disk — and checks the concatenated
+// partitions match a local sort bit for bit.
 func TestStreamOutputSortShufflePath(t *testing.T) {
 	c, err := StartCluster(3, 2, 1_000, 10*time.Millisecond,
 		WithSpill(t.TempDir(), 0, nil))
@@ -136,63 +134,16 @@ func TestStreamOutputSortShufflePath(t *testing.T) {
 	if err := c.Client.WriteFile("/records", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := c.Client.SubmitAndWait(JobSpec{
-		Name: "sort-inline", Kernel: "sort", Input: "/records", NumReducers: 3,
-	}, 30*time.Second)
-	if err != nil {
+	want := append([]byte(nil), data...)
+	if err := kernels.SortRecords(want); err != nil {
 		t.Fatal(err)
 	}
-	var want []byte
-	if err := rpcnet.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.Client.Submit(JobSpec{
+	got := submitOutput(t, c.Client, JobSpec{
 		Name: "sort-stream", Kernel: "sort", Input: "/records", NumReducers: 3,
-		StreamOutput: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The inline path's final Reduce merges the partition runs; the
-	// streamed path hands the client the partitions in order. The
-	// shuffle hash-routes keys, so byte equality only holds after
-	// re-merging the streamed pieces — fetched here directly from the
-	// stores (they are raw record runs now, no gob framing) before
-	// WaitOutput streams and releases them.
-	if _, err := c.Client.Wait(id, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Client.Status(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pieces [][]byte
-	for _, ref := range st.Outputs {
-		cc, err := c.Client.wire.get(ref.Addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep FetchPartitionReply
-		if err := cc.CallTimeout("FetchPartition", FetchPartitionArgs{
-			JobID: id, MapTask: ref.MapTask, Part: ref.Part,
-		}, &rep, dataCallTimeout); err != nil {
-			t.Fatal(err)
-		}
-		pieces = append(pieces, rep.Data)
-	}
-	var got bytes.Buffer
-	if _, err := c.Client.WaitOutput(id, 30*time.Second, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != len(want) {
-		t.Fatalf("streamed %d bytes, inline produced %d", got.Len(), len(want))
-	}
-	merged, err := kernels.MergeSortedRuns(pieces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(merged, want) {
-		t.Fatal("re-merged streamed partitions differ from the inline sort")
+		SplitKeys: splitKeysFor(t, data, 3),
+	}, 30*time.Second)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("streamed sort (%d bytes) differs from the local sort (%d bytes)", len(got), len(want))
 	}
 	spilledAnywhere := false
 	for _, tt := range c.TTs {
@@ -242,26 +193,18 @@ func TestDataNodeSpillServesBlocks(t *testing.T) {
 }
 
 // TestWaitOutputRejectsInlineJob pins the misuse path: WaitOutput on a
-// job submitted without StreamOutput errors instead of hanging or
-// returning nothing.
+// job whose kernel reduces at the JobTracker (wordcount) errors instead
+// of hanging or returning nothing.
 func TestWaitOutputRejectsInlineJob(t *testing.T) {
 	c, err := StartCluster(2, 2, 1_000, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if err := c.Client.WriteFile("/in", streamCorpus(2_000), ""); err != nil {
+	if err := c.Client.WriteFile("/in", []byte("a b a c"), ""); err != nil {
 		t.Fatal(err)
 	}
-	args, err := rpcnet.Marshal(AESArgs{
-		Key: []byte("stream-test-key!"), IV: make([]byte, 16), BlockBytes: 1_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.Client.Submit(JobSpec{
-		Name: "enc", Kernel: "aes-ctr", Input: "/in", Args: args,
-	})
+	id, err := c.Client.Submit(JobSpec{Name: "wc", Kernel: "wordcount", Input: "/in"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +213,11 @@ func TestWaitOutputRejectsInlineJob(t *testing.T) {
 	}
 }
 
-// TestStreamOutputNeedsRawKernel pins the Submit-side check: a JobSpec
-// arrives from outside the program, and streaming a kernel without a
-// RawOutput hook (wordcount, pi) is refused before the job exists.
-func TestStreamOutputNeedsRawKernel(t *testing.T) {
+// TestSubmitRejectsWrongOutputShapes pins the Submit-side shape check:
+// a JobSpec arrives from outside the program, and each spec whose
+// output would be wrong or missing is refused with an error before the
+// job exists — never accepted to hang or to stream unordered bytes.
+func TestSubmitRejectsWrongOutputShapes(t *testing.T) {
 	c, err := StartCluster(1, 1, 1_000, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -282,16 +226,38 @@ func TestStreamOutputNeedsRawKernel(t *testing.T) {
 	if err := c.Client.WriteFile("/words", []byte("a b a"), ""); err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []JobSpec{
-		{Name: "wc-stream", Kernel: "wordcount", Input: "/words", StreamOutput: true},
-		{Name: "pi-stream", Kernel: "pi", Samples: 1000, StreamOutput: true},
+	if err := c.Client.WriteFile("/records", sortableRecords(t, 10), ""); err != nil {
+		t.Fatal(err)
+	}
+	args, err := rpcnet.Marshal(AESArgs{Key: []byte("stream-test-key!"), IV: make([]byte, 16), BlockBytes: 1_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec JobSpec
+		want string
+	}{
+		// sort has no Map: with no reducers nothing would partition.
+		{JobSpec{Name: "sort-no-reducers", Kernel: "sort", Input: "/records"},
+			"runs only on the shuffle path"},
+		// More than one range needs exactly NumReducers-1 split keys,
+		// or the streamed partitions concatenate out of key order
+		// (a wrong non-zero count: TestSubmitRejectsBadSplitKeys).
+		{JobSpec{Name: "sort-no-keys", Kernel: "sort", Input: "/records", NumReducers: 3},
+			"0 split keys for 3 reducers"},
+		// wordcount hashes words to reducers; split keys mean nothing.
+		{JobSpec{Name: "wc-keys", Kernel: "wordcount", Input: "/words", NumReducers: 2,
+			SplitKeys: [][]byte{{'m'}}}, "does not route by split keys"},
+		// A streamed kernel with no input has no pieces to stream.
+		{JobSpec{Name: "enc-no-input", Kernel: "aes-ctr", Args: args, Samples: 1000},
+			"Input is empty"},
 	} {
-		_, err := c.Client.Submit(spec)
-		if err == nil || !strings.Contains(err.Error(), "cannot stream its output") {
-			t.Errorf("Submit(%s) = %v, want a cannot-stream rejection", spec.Name, err)
+		_, err := c.Client.Submit(tc.spec)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Submit(%s) = %v, want an error containing %q", tc.spec.Name, err, tc.want)
 		}
 	}
 	if st := c.JT.TenantStats()[DefaultTenant]; st.ActiveJobs != 0 {
-		t.Errorf("rejected streams left jobs behind: %+v", st)
+		t.Errorf("rejected specs left jobs behind: %+v", st)
 	}
 }

@@ -567,18 +567,11 @@ func (tt *TaskTracker) runTask(task Task) {
 		tt.report(res)
 		return
 	}
-	if task.StreamOutput {
-		// Streamed result path: the output parks here (spilling past
-		// the watermark) and only its location rides the heartbeat;
-		// the client fetches it straight from this store. The piece
-		// parks as the unwrapped result bytes (RawOutput; Submit only
-		// streams kernels that have it), so the client can stream them
-		// in bounded chunks with no decode.
-		if out, err = kern.RawOutput(out); err != nil {
-			res.Err = err.Error()
-			tt.report(res)
-			return
-		}
+	if kern.streams() {
+		// Streamed result path: the raw output piece parks here
+		// (spilling past the watermark) and only its location rides the
+		// heartbeat; the client pulls it straight from this store in
+		// bounded chunks.
 		if err := tt.store.put(task.JobID, streamedMapKey(task.TaskID), out); err != nil {
 			res.Err = err.Error()
 			tt.report(res)
@@ -723,15 +716,9 @@ func (tt *TaskTracker) runReduce(task Task, kern MapKernel, res TaskResult) {
 		tt.report(res)
 		return
 	}
-	if task.StreamOutput {
+	if kern.streams() {
 		// The merged partition stays here too; the client pulls it in
-		// partition order once the job finishes, raw so the pull can
-		// be chunked.
-		if out, err = kern.RawOutput(out); err != nil {
-			res.Err = err.Error()
-			tt.report(res)
-			return
-		}
+		// partition order once the job finishes.
 		if err := tt.store.put(task.JobID, streamedReduceKey(task.TaskID), out); err != nil {
 			res.Err = err.Error()
 			tt.report(res)

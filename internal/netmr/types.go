@@ -289,37 +289,25 @@ type JobSpec struct {
 	Seed uint64
 	// NumReducers turns the distributed shuffle/reduce plane on for
 	// data jobs whose kernel supports partitioned output: map outputs
-	// are hash-partitioned into this many reduce tasks, each scheduled
-	// like a map task and fetched directly from the mapper trackers.
-	// 0 keeps the centralized reduce at the JobTracker; negative is
-	// rejected at submission (the partition hash cannot route into a
-	// non-positive partition count).
+	// are partitioned into this many reduce tasks (wordcount by word
+	// hash, sort by SplitKeys range), each scheduled like a map task
+	// and fetched directly from the mapper trackers. 0 keeps the
+	// centralized reduce at the JobTracker, which sort (no Map) does
+	// not have; Submit rejects a sort with 0 and any negative count.
 	NumReducers int
 	// Mapper selects the map-task variant: MapperCell (the default,
 	// offload to the tracker's accelerator where one exists, host
 	// fallback elsewhere — bit-identical either way) or MapperJava
 	// (host path everywhere).
 	Mapper string
-	// StreamOutput keeps task output bytes on the worker trackers
-	// instead of shipping them to the JobTracker: each final-phase
-	// task (map task on the centralized path, reduce task on the
-	// shuffle path) parks its output in its tracker's shuffle store
-	// and reports only the location. StatusReply.Outputs lists the
-	// stored pieces in task order once the job is done; the client
-	// streams them straight to its sink and then Releases the job so
-	// trackers can free the space. The JobTracker never holds output
-	// bytes — the bounded-memory result path for outputs larger than
-	// any single process should buffer. Only kernels with a RawOutput
-	// hook (sort, aes-ctr) stream; Submit rejects the rest.
-	StreamOutput bool
-	// SplitKeys selects range partitioning for the shuffle: map output
-	// keys route by binary search into these sorted split keys
-	// (kernels.RangePartitioner) instead of the FNV hash, so partition
-	// p holds exactly the keys below partition p+1 and a StreamOutput
-	// job's pieces concatenate in key order — no final merge. Must be
-	// sorted and hold exactly NumReducers-1 keys (nil keeps hash
-	// partitioning). Typically computed by reservoir-sampling the
-	// ingest stream (kernels.RecordKeySampler).
+	// SplitKeys are the sort kernel's range-partition split keys: a
+	// map output record routes by binary search of its key into them
+	// (kernels.RangePartitioner), so partition p holds exactly the keys
+	// below partition p+1 and the streamed reduce outputs concatenate
+	// in key order with no final merge. A sort job must carry exactly
+	// NumReducers-1 sorted keys (none for one reducer); Submit rejects
+	// split keys on any other kernel. Typically computed by
+	// reservoir-sampling the ingest stream (kernels.RecordKeySampler).
 	SplitKeys [][]byte
 }
 
@@ -342,8 +330,8 @@ type Task struct {
 	Block   BlockInfo // data tasks; no Replicas for compute tasks
 	Samples int64     // compute tasks
 	Seed    uint64
-	// NumParts > 0 on a map task asks the tracker to hash-partition
-	// its output into NumParts partitions held in its shuffle store
+	// NumParts > 0 on a map task asks the tracker to partition its
+	// output into NumParts partitions held in its shuffle store
 	// instead of shipping the bytes back on the heartbeat.
 	NumParts int
 	// Reduce marks a reduce task: fetch partition TaskID from every
@@ -357,13 +345,8 @@ type Task struct {
 	// the kernel's accelerated variant; trackers without one (or
 	// kernels without a variant) run the bit-identical host path.
 	Mapper string
-	// StreamOutput marks a final-phase task whose output stays in the
-	// executing tracker's shuffle store (reported by location, fetched
-	// by the client) instead of riding the heartbeat.
-	StreamOutput bool
-	// SplitKeys carries the job's range-partition split keys to map
-	// tasks (see JobSpec.SplitKeys); kernels with a Partition function
-	// route by range when present and by hash otherwise.
+	// SplitKeys carries the job's range-partition split keys to sort
+	// map tasks (see JobSpec.SplitKeys).
 	SplitKeys [][]byte
 }
 
@@ -383,10 +366,11 @@ type TaskResult struct {
 	JobID  int64
 	TaskID int
 	Reduce bool
-	// Output is the task's result bytes: the map output on the
-	// centralized path, the merged partition on the reduce path, and
-	// empty for shuffle-path map tasks (their bytes stay in the
-	// tracker's shuffle store — the heartbeat carries only metadata).
+	// Output is a Reduce partial: the map output on the centralized
+	// path, the merged partition on the reduce path. It is empty for
+	// shuffle-path map tasks and for streamed kernels' pieces (their
+	// bytes stay in the tracker's shuffle store — the heartbeat
+	// carries only metadata).
 	Output []byte
 	// ShuffleAddr is where a shuffle-path map task's partitions are
 	// served from.
@@ -490,7 +474,8 @@ type StatusArgs struct {
 }
 
 // StatusReply reports completion; Result is the kernel's reduced
-// output once Done.
+// output once Done (empty for streamed kernels, whose pieces Outputs
+// lists).
 type StatusReply struct {
 	Done bool
 	// Completed counts finished tasks across both phases; Total is
@@ -513,14 +498,14 @@ type StatusReply struct {
 	// shows how completions skew toward accelerated nodes on a
 	// heterogeneous cluster.
 	Devices map[string]string
-	// Outputs lists a StreamOutput job's stored result pieces in task
-	// order once Done: the client fetches each from its tracker's
-	// shuffle store and streams it to the sink. Empty for jobs whose
-	// Result travelled inline.
+	// Outputs lists a streamed job's stored result pieces (sort,
+	// aes-ctr: kernels without Reduce) in task order once Done: the
+	// client fetches each from its tracker's shuffle store and streams
+	// it to the sink. Empty for jobs whose Result travelled inline.
 	Outputs []MapOutputRef
 }
 
-// ReleaseArgs tells the JobTracker a StreamOutput job's results have
+// ReleaseArgs tells the JobTracker a streamed job's results have
 // been consumed: trackers may free the stored output pieces on their
 // next heartbeat.
 type ReleaseArgs struct {
